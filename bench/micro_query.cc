@@ -366,10 +366,12 @@ void RunPushdownSweep() {
 // Profiling overhead: EXPLAIN ANALYZE must be pay-for-what-you-use. The
 // unprofiled leg (the serving default) runs with a null profiler — one
 // pointer test per operator, no allocation — so a profiled run over the same
-// scan→filter→join pipeline must land within 5% of it (plus an absolute
-// floor for timer jitter on loaded CI machines). Exits non-zero on a
-// persistent violation so check.sh catches a profiler that leaks cost onto
-// the hot path.
+// scan→filter→join pipeline must land within 5% of it plus an absolute
+// slack for timer jitter on loaded CI machines. The slack is a larger share
+// of a shorter run, so the leg reports the bound it actually applied, as a
+// percentage of the unprofiled time, next to the measured overhead. Exits
+// non-zero on a persistent violation so check.sh catches a profiler that
+// leaks cost onto the hot path.
 
 void RunProfileOverheadLeg() {
   bench::Scale scale = bench::BenchScale();
@@ -420,20 +422,25 @@ void RunProfileOverheadLeg() {
     ok = on <= off * 1.05 + kAbsoluteSlack;
   }
   double overhead_pct = (on / off - 1.0) * 100.0;
+  // The check above as one percentage of the unprofiled time.
+  double bound_pct = 5.0 + kAbsoluteSlack / off * 100.0;
   std::printf(
       "BENCH {\"bench\":\"micro_query\",\"op\":\"profile_overhead\",\"rows\":%zu,"
-      "\"seconds_off\":%.6f,\"seconds_on\":%.6f,\"overhead_pct\":%.2f}\n",
-      n, off, on, overhead_pct);
+      "\"seconds_off\":%.6f,\"seconds_on\":%.6f,\"overhead_pct\":%.2f,"
+      "\"bound_pct\":%.2f}\n",
+      n, off, on, overhead_pct, bound_pct);
   if (!ok) {
     std::fprintf(stderr,
-                 "FAIL: profiled run %.6fs exceeds unprofiled %.6fs by more "
-                 "than 5%% + %.0fms slack\n",
-                 on, off, kAbsoluteSlack * 1e3);
+                 "FAIL: profiled run %.6fs exceeds unprofiled %.6fs by %.2f%%, more than "
+                 "the applied bound of %.2f%% (5%% + %.0fms slack)\n",
+                 on, off, overhead_pct, bound_pct, kAbsoluteSlack * 1e3);
     std::exit(1);
   }
-  std::printf("profiling overhead %.2f%% (unprofiled %s, profiled %s) — within 5%%\n",
-              overhead_pct, bench::FormatSeconds(off).c_str(),
-              bench::FormatSeconds(on).c_str());
+  std::printf(
+      "profiling overhead %.2f%% (unprofiled %s, profiled %s) — within the applied bound "
+      "of %.2f%% (5%% + %.0fms slack)\n",
+      overhead_pct, bench::FormatSeconds(off).c_str(), bench::FormatSeconds(on).c_str(),
+      bound_pct, kAbsoluteSlack * 1e3);
 }
 
 }  // namespace

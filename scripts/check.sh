@@ -61,6 +61,40 @@ echo "$ROW_OUT" | grep -q "4 row(s)" \
   || { echo "vectorized smoke failed: row/vec outputs differ"; \
        diff <(echo "$ROW_OUT") <(echo "$VEC_OUT") || true; exit 1; }
 
+# Negative-literal GROUP BY, served through the engine (a policy applies), so
+# its counters see the query: byte-identical tables in both modes, and the
+# vectorized run filters on the typed kernels and groups natively, with no
+# row evaluated one at a time.
+echo "== shell: negative-literal GROUP BY smoke"
+GROUP_CSV=$(mktemp)
+cat > "$GROUP_CSV" <<'EOF'
+id,amount,conf
+1,50.5,0.9
+2,-120.0,0.4
+3,75.25,0.7
+4,-300.0,0.85
+5,-120.0,0.4
+EOF
+GROUP_SQL='SELECT amount, COUNT(*) AS n, MIN(id) AS first FROM t WHERE amount >= -200.0 GROUP BY amount ORDER BY amount;'
+run_group_mode() {
+  printf '.load t %s conf\n.role add R\n.user add u\n.role grant u R\n.policy add R general 0.1\n.user use u\n.exec %s\n%s\n%b.quit\n' \
+    "$GROUP_CSV" "$1" "$GROUP_SQL" "${2:-}" | build/tools/pcqe_shell | grep -v "execution mode"
+}
+ROW_GROUP=$(run_group_mode row)
+VEC_GROUP=$(run_group_mode vec)
+VEC_METRICS=$(run_group_mode vec '.metrics\n')
+rm -f "$GROUP_CSV"
+echo "$ROW_GROUP" | grep -q "3 of 3 row(s) released" \
+  || { echo "GROUP BY smoke failed: expected 3 released groups"; echo "$ROW_GROUP"; exit 1; }
+[[ "$ROW_GROUP" == "$VEC_GROUP" ]] \
+  || { echo "GROUP BY smoke failed: row/vec outputs differ"; \
+       diff <(echo "$ROW_GROUP") <(echo "$VEC_GROUP") || true; exit 1; }
+echo "$VEC_METRICS" | grep -q '^pcqe_engine_queries_total 1$' \
+  || { echo "GROUP BY smoke failed: the query did not reach the engine"; exit 1; }
+echo "$VEC_METRICS" | grep -q '^pcqe_engine_vec_fallback_rows_total 0$' \
+  || { echo "GROUP BY smoke failed: rows took the row-at-a-time fallback"; \
+       echo "$VEC_METRICS" | grep fallback_rows; exit 1; }
+
 # Observability smoke: `.explain analyze json` must report a profiled
 # operator tree and `.audit json` must reconstruct the policy decision —
 # without ever exporting a blocked value. Rendered JSON is kept under

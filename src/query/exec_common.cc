@@ -5,6 +5,90 @@
 namespace pcqe {
 namespace exec_internal {
 
+Status AggAccumulator::Add(const Value& v) {
+  switch (v.type()) {
+    case DataType::kNull:
+      return Status::OK();
+    case DataType::kInt64:
+      AddInt(*v.AsInt());
+      return Status::OK();
+    case DataType::kDouble:
+      AddDouble(*v.AsDouble());
+      return Status::OK();
+    case DataType::kBool:
+    case DataType::kString:
+      break;
+  }
+  // Only COUNT and MIN/MAX are defined over non-numeric values (the binder
+  // rejects such SUM/AVG arguments; this is the same refusal at run time).
+  if (func_ == AggFunc::kSum || func_ == AggFunc::kAvg) return v.AsDouble().status();
+  ++count_;
+  if (func_ != AggFunc::kCount) Keep(v);
+  return Status::OK();
+}
+
+void AggAccumulator::AddInt(int64_t v) {
+  ++count_;
+  switch (func_) {
+    case AggFunc::kCount:
+      break;
+    case AggFunc::kSum:
+      isum_ += v;
+      sum_ += static_cast<double>(v);
+      break;
+    case AggFunc::kAvg:
+      sum_ += static_cast<double>(v);
+      break;
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      Keep(Value::Int(v));
+      break;
+  }
+}
+
+void AggAccumulator::AddDouble(double v) {
+  ++count_;
+  switch (func_) {
+    case AggFunc::kCount:
+      break;
+    case AggFunc::kSum:
+      all_int_ = false;
+      sum_ += v;
+      break;
+    case AggFunc::kAvg:
+      sum_ += v;
+      break;
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      Keep(Value::Double(v));
+      break;
+  }
+}
+
+void AggAccumulator::Keep(Value v) {
+  if (count_ == 1) {
+    best_ = std::move(v);
+    return;
+  }
+  int c = v.Compare(best_);
+  if ((func_ == AggFunc::kMin && c < 0) || (func_ == AggFunc::kMax && c > 0)) {
+    best_ = std::move(v);
+  }
+}
+
+Value AggAccumulator::Finish() const {
+  if (func_ == AggFunc::kCount) return Value::Int(count_);
+  if (count_ == 0) return Value::Null();
+  switch (func_) {
+    case AggFunc::kSum:
+      return all_int_ ? Value::Int(isum_) : Value::Double(sum_);
+    case AggFunc::kAvg:
+      return Value::Double(sum_ / static_cast<double>(count_));
+    default:
+      return best_;
+  }
+}
+
 void SplitJoinPredicate(const Expr* predicate, size_t left_width,
                         std::vector<std::pair<size_t, size_t>>* equi_pairs,
                         std::vector<const Expr*>* residual) {  // NOLINT(misc-no-recursion)
@@ -135,71 +219,16 @@ Result<std::vector<ExecRow>> AggregateRows(const PlanNode& plan, std::vector<Exe
     row.values.reserve(group_keys[g].size() + plan.aggregates.size());
 
     for (const PlanNode::AggregateSpec& spec : plan.aggregates) {
-      // Collect the aggregate input (non-NULL argument values, or the raw
-      // member count for COUNT(*)).
-      std::vector<Value> args;
-      args.reserve(spec.arg ? groups[g].size() : 0);
+      AggAccumulator acc(spec.func);
       for (size_t r : groups[g]) {
-        if (!spec.arg) continue;
+        if (!spec.arg) {
+          acc.AddRow();
+          continue;
+        }
         PCQE_ASSIGN_OR_RETURN(Value v, spec.arg->Eval(input[r].values));
-        if (!v.is_null()) args.push_back(std::move(v));
+        PCQE_RETURN_NOT_OK(acc.Add(v));
       }
-      switch (spec.func) {
-        case AggFunc::kCount:
-          row.values.push_back(Value::Int(static_cast<int64_t>(
-              spec.arg ? args.size() : groups[g].size())));
-          break;
-        case AggFunc::kSum: {
-          if (args.empty()) {
-            row.values.push_back(Value::Null());
-            break;
-          }
-          bool all_int = true;
-          double sum = 0.0;
-          int64_t isum = 0;
-          for (const Value& v : args) {
-            if (v.type() == DataType::kInt64) {
-              isum += *v.AsInt();
-            } else {
-              all_int = false;
-            }
-            PCQE_ASSIGN_OR_RETURN(double d, v.AsDouble());
-            sum += d;
-          }
-          row.values.push_back(all_int ? Value::Int(isum) : Value::Double(sum));
-          break;
-        }
-        case AggFunc::kAvg: {
-          if (args.empty()) {
-            row.values.push_back(Value::Null());
-            break;
-          }
-          double sum = 0.0;
-          for (const Value& v : args) {
-            PCQE_ASSIGN_OR_RETURN(double d, v.AsDouble());
-            sum += d;
-          }
-          row.values.push_back(Value::Double(sum / static_cast<double>(args.size())));
-          break;
-        }
-        case AggFunc::kMin:
-        case AggFunc::kMax: {
-          if (args.empty()) {
-            row.values.push_back(Value::Null());
-            break;
-          }
-          Value best = args[0];
-          for (const Value& v : args) {
-            int c = v.Compare(best);
-            if ((spec.func == AggFunc::kMin && c < 0) ||
-                (spec.func == AggFunc::kMax && c > 0)) {
-              best = v;
-            }
-          }
-          row.values.push_back(std::move(best));
-          break;
-        }
-      }
+      row.values.push_back(acc.Finish());
     }
 
     // Conservative lineage: the aggregate value is exactly right iff every

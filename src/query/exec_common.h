@@ -1,11 +1,15 @@
 // Copyright (c) PCQE contributors.
 // Internals shared by the row and vectorized plan interpreters.
 //
-// The grouping operators (DISTINCT, set ops, GROUP BY) are implemented once,
-// over materialized `ExecRow`s, and called from both engines: the bit-identity
-// contract between the two engines (same values, same row order, same lineage
-// structure, hence same confidences) then holds for these operators by
-// construction rather than by parallel maintenance.
+// The grouping operators are implemented here over materialized `ExecRow`s.
+// The row engine uses all of them; the vectorized engine uses the set
+// operations as they are and runs DISTINCT and GROUP BY natively over column
+// chunks (query/vec_executor.h), sharing the grouping equality
+// (`ValueVecHash`/`ValueVecEq`) and the aggregate arithmetic
+// (`AggAccumulator`) with the versions here. The bit-identity contract
+// between the two engines (same values, same row order, same lineage
+// structure, hence same confidences) rests on those shared pieces and on the
+// differential tests in tests/vectorized_test.cc.
 
 #ifndef PCQE_QUERY_EXEC_COMMON_H_
 #define PCQE_QUERY_EXEC_COMMON_H_
@@ -74,6 +78,45 @@ class RowGroups {
   std::unordered_map<std::vector<Value>, size_t, ValueVecHash, ValueVecEq> index_;
 };
 
+/// \brief Running state of one aggregate over one group, fed the group's
+/// members in member order.
+///
+/// Both engines fold through this: the row engine's `AggregateRows` over
+/// boxed argument values, the vectorized engine's native GROUP BY over typed
+/// column reads as well. So COUNT/SUM/AVG/MIN/MAX are defined once: NULL
+/// arguments never count, SUM stays BIGINT while every value is, AVG divides
+/// the double sum by the non-NULL count, MIN/MAX keep the first of equal
+/// values, and an aggregate over no values is NULL (COUNT is 0).
+class AggAccumulator {
+ public:
+  explicit AggAccumulator(AggFunc func) : func_(func) {}
+
+  /// One member of COUNT(*): counts the row, not a value.
+  void AddRow() { ++count_; }
+
+  /// One member's argument value.
+  [[nodiscard]] Status Add(const Value& v);
+
+  /// One member's non-NULL BIGINT / DOUBLE argument; the same as `Add` of
+  /// the boxed value.
+  void AddInt(int64_t v);
+  void AddDouble(double v);
+
+  /// The aggregate over everything added so far.
+  Value Finish() const;
+
+ private:
+  /// MIN/MAX: replaces the incumbent only on a strict improvement.
+  void Keep(Value v);
+
+  AggFunc func_;
+  int64_t count_ = 0;
+  bool all_int_ = true;
+  int64_t isum_ = 0;
+  double sum_ = 0.0;
+  Value best_;
+};
+
 /// Splits `predicate` into equi-join pairs usable for hashing (column =
 /// column with the two sides split by `left_width`) and residual conjuncts.
 void SplitJoinPredicate(const Expr* predicate, size_t left_width,
@@ -96,7 +139,9 @@ void SplitJoinPredicate(const Expr* predicate, size_t left_width,
                                                      LineageArena* arena);
 
 /// GROUP BY + aggregate evaluation over materialized rows; `plan` supplies
-/// `group_keys` and `aggregates`.
+/// `group_keys` and `aggregates`. Groups come out in first-seen order, each
+/// with the AND of its members' lineages (`true` for the one group of a
+/// global aggregate over no rows).
 [[nodiscard]] Result<std::vector<ExecRow>> AggregateRows(const PlanNode& plan,
                                                          std::vector<ExecRow> input,
                                                          LineageArena* arena);

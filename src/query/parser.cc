@@ -369,6 +369,18 @@ class Parser {
     if (Peek().IsOperator("-")) {
       Advance();
       PCQE_ASSIGN_OR_RETURN(std::unique_ptr<Expr> operand, ParseUnary());
+      // Fold `-<numeric literal>` into a literal, computed exactly as
+      // evaluating the negation would, so `x >= -20` is the plain
+      // column-versus-literal comparison the vectorized filter kernels match.
+      // Other operands (columns, NULL, non-numeric literals that must fail
+      // to bind) stay a negation.
+      if (operand->kind() == ExprKind::kLiteral) {
+        const Value& v = operand->literal();
+        if (v.type() == DataType::kInt64) return Expr::Literal(Value::Int(-*v.AsInt()));
+        if (v.type() == DataType::kDouble) {
+          return Expr::Literal(Value::Double(-*v.AsDouble()));
+        }
+      }
       return Expr::Unary(UnaryOp::kNegate, std::move(operand));
     }
     if (Peek().IsOperator("+")) {

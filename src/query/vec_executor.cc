@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -93,9 +94,8 @@ inline int NumericCompare(double a, double b) {
   return d < 0 ? -1 : (d > 0 ? 1 : 0);
 }
 
-/// Applies comparison `op` to a three-way result, honoring operand flip.
-inline bool CompareKeeps(BinaryOp op, int c, bool flipped) {
-  if (flipped) c = -c;
+/// Applies comparison `op` to a three-way result.
+inline bool CompareKeeps(BinaryOp op, int c) {
   switch (op) {
     case BinaryOp::kEq:
       return c == 0;
@@ -111,6 +111,23 @@ inline bool CompareKeeps(BinaryOp op, int c, bool flipped) {
       return c >= 0;
     default:
       return false;
+  }
+}
+
+/// `b op a` expressed as `a op' b`. Exact for `Value::Compare`, whose
+/// numeric sign is antisymmetric (`a - b` is exactly `-(b - a)` in IEEE).
+BinaryOp MirrorCompare(BinaryOp op) {
+  switch (op) {
+    case BinaryOp::kLt:
+      return BinaryOp::kGt;
+    case BinaryOp::kLe:
+      return BinaryOp::kGe;
+    case BinaryOp::kGt:
+      return BinaryOp::kLt;
+    case BinaryOp::kGe:
+      return BinaryOp::kLe;
+    default:
+      return op;
   }
 }
 
@@ -133,6 +150,74 @@ std::optional<BorrowedColumn> ResolveBorrowed(const VecResult& r, size_t col) {
   b.type = f.table->schema().column(c.base_col).type;
   return b;
 }
+
+/// Keeps the candidates whose value in borrowed numeric column `col`
+/// satisfies `value kOp literal` under `Value::Compare`'s numeric rule,
+/// compacting `candidates` in place. Candidates are consumed in runs that
+/// map into one chunk, so each run resolves its chunk, typed array and null
+/// mask once; the operator and element type are fixed at compile time.
+template <typename T, BinaryOp kOp>
+void FilterNumericColumn(const BorrowedColumn& col, double literal,
+                         std::vector<uint32_t>* candidates) {
+  const std::vector<uint32_t>& sel = *col.sel;
+  uint32_t* cand = candidates->data();
+  const size_t n = candidates->size();
+  size_t kept = 0;
+  size_t i = 0;
+  while (i < n) {
+    const size_t chunk_index = TableColumnData::ChunkOf(sel[cand[i]]);
+    const ColumnChunk& chunk = col.data->chunk(col.base_col, chunk_index);
+    const T* values = nullptr;
+    if constexpr (std::is_same_v<T, int64_t>) {
+      values = chunk.IntData();
+    } else {
+      values = chunk.DoubleData();
+    }
+    const bool has_nulls = !chunk.AllNonNull();
+    const auto first = static_cast<uint32_t>(chunk_index << kColumnChunkShift);
+    for (; i < n; ++i) {
+      const uint32_t row = cand[i];
+      // Unsigned wrap-around sends rows below the chunk out of range too.
+      const uint32_t off = sel[row] - first;
+      if (off >= kColumnChunkCapacity) break;
+      if (has_nulls && chunk.IsNull(off)) continue;
+      cand[kept] = row;
+      kept += CompareKeeps(kOp, NumericCompare(static_cast<double>(values[off]), literal));
+    }
+  }
+  candidates->resize(kept);
+}
+
+template <typename T>
+void FilterNumericColumn(const BorrowedColumn& col, BinaryOp op, double literal,
+                         std::vector<uint32_t>* candidates) {
+  switch (op) {
+    case BinaryOp::kEq:
+      return FilterNumericColumn<T, BinaryOp::kEq>(col, literal, candidates);
+    case BinaryOp::kNe:
+      return FilterNumericColumn<T, BinaryOp::kNe>(col, literal, candidates);
+    case BinaryOp::kLt:
+      return FilterNumericColumn<T, BinaryOp::kLt>(col, literal, candidates);
+    case BinaryOp::kLe:
+      return FilterNumericColumn<T, BinaryOp::kLe>(col, literal, candidates);
+    case BinaryOp::kGt:
+      return FilterNumericColumn<T, BinaryOp::kGt>(col, literal, candidates);
+    case BinaryOp::kGe:
+      return FilterNumericColumn<T, BinaryOp::kGe>(col, literal, candidates);
+    default:
+      PCQE_CHECK(false) << "not a comparison";
+  }
+}
+
+/// How native GROUP BY reads one aggregate's argument for an input row.
+struct AggInput {
+  const PlanNode::AggregateSpec* spec = nullptr;
+  /// Input column of a column-reference argument, else -1 (evaluated over
+  /// the gathered row).
+  int column = -1;
+  /// Set for a column-reference argument borrowing a BIGINT/DOUBLE column.
+  std::optional<BorrowedColumn> typed;
+};
 
 }  // namespace
 
@@ -180,12 +265,13 @@ Result<VecResult> VectorExecutor::Dispatch(
     case PlanKind::kLimit:
       return RunLimit(plan);
     case PlanKind::kDistinct:
+    case PlanKind::kAggregate:
+      return RunHashGrouping(plan);
     case PlanKind::kUnionAll:
     case PlanKind::kUnion:
     case PlanKind::kExcept:
     case PlanKind::kIntersect:
-    case PlanKind::kAggregate:
-      return RunGrouping(plan);
+      return RunSetOp(plan);
     case PlanKind::kConfidencePrune:
       return RunConfidencePrune(plan);
   }
@@ -280,60 +366,45 @@ bool VectorExecutor::TryFilterKernel(const VecResult& r, const Expr& conjunct,
                                      std::vector<uint32_t>* candidates) {
   std::optional<KernelShape> shape = MatchFilterKernel(conjunct);
   if (!shape.has_value()) return false;
-
-  std::vector<uint32_t> keep;
-  keep.reserve(candidates->size());
+  // `literal op column` is `column op' literal` with the operator mirrored.
+  const BinaryOp op = shape->flipped ? MirrorCompare(shape->op) : shape->op;
+  std::vector<uint32_t>& cand = *candidates;
+  size_t kept = 0;
 
   if (shape->col_b >= 0) {
     // Column-column compare: boxed path (either column layout), identical
     // semantics to Eval (NULL operand drops the row, else Value::Compare).
     size_t col_b = static_cast<size_t>(shape->col_b);
-    for (uint32_t i : *candidates) {
+    for (uint32_t i : cand) {
       Value a = ColumnValue(r, shape->col_a, i);
       Value b = ColumnValue(r, col_b, i);
       if (a.is_null() || b.is_null()) continue;
-      if (CompareKeeps(shape->op, a.Compare(b), false)) keep.push_back(i);
+      if (CompareKeeps(op, a.Compare(b))) cand[kept++] = i;
     }
-    *candidates = std::move(keep);
+    cand.resize(kept);
     return true;
   }
 
   const Value& lit = *shape->literal;
   std::optional<BorrowedColumn> borrowed = ResolveBorrowed(r, shape->col_a);
-
-  if (borrowed.has_value() && borrowed->type == DataType::kInt64 &&
-      lit.type() == DataType::kInt64) {
-    double lv = static_cast<double>(*lit.AsInt());
-    for (uint32_t i : *candidates) {
-      uint32_t base = (*borrowed->sel)[i];
-      const ColumnChunk& ch =
-          borrowed->data->chunk(borrowed->base_col, TableColumnData::ChunkOf(base));
-      size_t off = TableColumnData::OffsetOf(base);
-      if (ch.IsNull(off)) continue;
-      int c = NumericCompare(static_cast<double>(ch.IntAt(off)), lv);
-      if (CompareKeeps(shape->op, c, shape->flipped)) keep.push_back(i);
+  if (borrowed.has_value() &&
+      (borrowed->type == DataType::kInt64 || borrowed->type == DataType::kDouble) &&
+      (lit.type() == DataType::kInt64 || lit.type() == DataType::kDouble)) {
+    if (borrowed->type == DataType::kInt64) {
+      FilterNumericColumn<int64_t>(*borrowed, op, *lit.AsDouble(), candidates);
+    } else {
+      FilterNumericColumn<double>(*borrowed, op, *lit.AsDouble(), candidates);
     }
-  } else if (borrowed.has_value() && borrowed->type == DataType::kDouble &&
-             (lit.type() == DataType::kDouble || lit.type() == DataType::kInt64)) {
-    double lv = *lit.AsDouble();
-    for (uint32_t i : *candidates) {
-      uint32_t base = (*borrowed->sel)[i];
-      const ColumnChunk& ch =
-          borrowed->data->chunk(borrowed->base_col, TableColumnData::ChunkOf(base));
-      size_t off = TableColumnData::OffsetOf(base);
-      if (ch.IsNull(off)) continue;
-      int c = NumericCompare(ch.DoubleAt(off), lv);
-      if (CompareKeeps(shape->op, c, shape->flipped)) keep.push_back(i);
-    }
-  } else {
-    // Boxed fallback kernel: any column layout / type pairing.
-    for (uint32_t i : *candidates) {
-      Value v = ColumnValue(r, shape->col_a, i);
-      if (v.is_null() || lit.is_null()) continue;
-      if (CompareKeeps(shape->op, v.Compare(lit), shape->flipped)) keep.push_back(i);
-    }
+    return true;
   }
-  *candidates = std::move(keep);
+
+  // Boxed fallback kernel: any column layout / type pairing.
+  for (uint32_t i : cand) {
+    Value v = ColumnValue(r, shape->col_a, i);
+    if (v.is_null() || lit.is_null()) continue;
+    if (CompareKeeps(op, v.Compare(lit))) cand[kept++] = i;
+  }
+  cand.resize(kept);
   return true;
 }
 
@@ -628,21 +699,146 @@ Result<VecResult> VectorExecutor::RunLimit(const PlanNode& plan) {
   return in;
 }
 
-Result<VecResult> VectorExecutor::RunGrouping(const PlanNode& plan) {
-  size_t width = plan.output_schema.num_columns();
-  if (plan.kind == PlanKind::kDistinct) {
-    PCQE_ASSIGN_OR_RETURN(VecResult in, Run(*plan.left));
-    PCQE_ASSIGN_OR_RETURN(std::vector<ExecRow> rows, Materialize(in));
-    PCQE_ASSIGN_OR_RETURN(rows, exec_internal::DistinctRows(std::move(rows), arena_));
-    return WrapRows(std::move(rows), width);
+Result<VecResult> VectorExecutor::RunHashGrouping(const PlanNode& plan) {
+  PCQE_ASSIGN_OR_RETURN(VecResult in, Run(*plan.left));
+  const bool distinct = plan.kind == PlanKind::kDistinct;
+  const size_t num_keys = distinct ? in.columns.size() : plan.group_keys.size();
+  const auto n = static_cast<uint32_t>(in.num_rows);
+  VecResult out;
+  out.columns.resize(plan.output_schema.num_columns());
+  PCQE_DCHECK(out.columns.size() == num_keys + plan.aggregates.size());
+
+  // Key k reads input column key_cols[k]: every column for DISTINCT, the
+  // referenced column for a column GROUP BY key, and -1 for an expression
+  // key, which is evaluated over the gathered row as the row engine does.
+  std::vector<int> key_cols(num_keys, -1);
+  bool gather_keys = false;
+  for (size_t k = 0; k < num_keys; ++k) {
+    if (distinct) {
+      key_cols[k] = static_cast<int>(k);
+    } else if (plan.group_keys[k]->kind() == ExprKind::kColumnRef) {
+      key_cols[k] = static_cast<int>(plan.group_keys[k]->column_index());
+    } else {
+      gather_keys = true;
+    }
   }
-  if (plan.kind == PlanKind::kAggregate) {
-    PCQE_ASSIGN_OR_RETURN(VecResult in, Run(*plan.left));
-    PCQE_ASSIGN_OR_RETURN(std::vector<ExecRow> rows, Materialize(in));
-    PCQE_ASSIGN_OR_RETURN(rows, exec_internal::AggregateRows(plan, std::move(rows), arena_));
-    return WrapRows(std::move(rows), width);
+
+  // Group ids in first-seen order under SQL grouping equality (NULL keys
+  // group together). The key scratch is reused across rows; the index copies
+  // a key only when it opens a group, and that key is the group's output.
+  std::vector<uint32_t> group_of(n);
+  size_t num_groups = 0;
+  {
+    std::unordered_map<std::vector<Value>, uint32_t, ValueVecHash, ValueVecEq> index;
+    std::vector<Value> key(num_keys);
+    for (uint32_t i = 0; i < n; ++i) {
+      if (gather_keys) GatherRow(in, i, &row_scratch_);
+      for (size_t k = 0; k < num_keys; ++k) {
+        if (key_cols[k] >= 0) {
+          key[k] = in.BoxedValue(static_cast<size_t>(key_cols[k]), i);
+        } else {
+          PCQE_ASSIGN_OR_RETURN(key[k], plan.group_keys[k]->Eval(row_scratch_));
+        }
+      }
+      auto [it, inserted] = index.try_emplace(key, static_cast<uint32_t>(index.size()));
+      if (inserted) {
+        for (size_t k = 0; k < num_keys; ++k) out.columns[k].owned.push_back(key[k]);
+      }
+      group_of[i] = it->second;
+    }
+    num_groups = index.size();
+    if (gather_keys) stats_.fallback_rows += n;
   }
-  // Set operations: materialize both sides in plan order.
+  // A global aggregate (no keys) over no rows still has its one group.
+  if (!distinct && num_keys == 0 && num_groups == 0) num_groups = 1;
+
+  // Each group's members in input order: a counting sort of the group ids.
+  std::vector<uint32_t> member_start(num_groups + 1, 0);
+  for (uint32_t g : group_of) ++member_start[g + 1];
+  for (size_t g = 0; g < num_groups; ++g) member_start[g + 1] += member_start[g];
+  std::vector<uint32_t> members(n);
+  {
+    std::vector<uint32_t> next(member_start.begin(), member_start.end() - 1);
+    for (uint32_t i = 0; i < n; ++i) members[next[group_of[i]]++] = i;
+  }
+
+  // Member lineages are interned in input order, the order materializing the
+  // input would intern them, so every shared node keeps the child order the
+  // row engine gives it.
+  arena_->Reserve(n);
+  std::vector<LineageRef> row_lineage(n);
+  for (uint32_t i = 0; i < n; ++i) row_lineage[i] = RowLineage(in, i);
+
+  std::vector<AggInput> inputs(plan.aggregates.size());
+  for (size_t j = 0; j < inputs.size(); ++j) {
+    const PlanNode::AggregateSpec& spec = plan.aggregates[j];
+    inputs[j].spec = &spec;
+    if (spec.arg == nullptr || spec.arg->kind() != ExprKind::kColumnRef) continue;
+    inputs[j].column = static_cast<int>(spec.arg->column_index());
+    std::optional<BorrowedColumn> col = ResolveBorrowed(in, spec.arg->column_index());
+    if (col.has_value() && (col->type == DataType::kInt64 || col->type == DataType::kDouble)) {
+      inputs[j].typed = col;
+    }
+  }
+  auto feed = [&](const AggInput& a, uint32_t row,
+                  exec_internal::AggAccumulator* acc) -> Status {
+    if (a.spec->arg == nullptr) {
+      acc->AddRow();
+      return Status::OK();
+    }
+    if (a.typed.has_value()) {
+      const uint32_t base = (*a.typed->sel)[row];
+      const ColumnChunk& chunk =
+          a.typed->data->chunk(a.typed->base_col, TableColumnData::ChunkOf(base));
+      const size_t off = TableColumnData::OffsetOf(base);
+      if (chunk.IsNull(off)) return Status::OK();
+      if (a.typed->type == DataType::kInt64) {
+        acc->AddInt(chunk.IntAt(off));
+      } else {
+        acc->AddDouble(chunk.DoubleAt(off));
+      }
+      return Status::OK();
+    }
+    if (a.column >= 0) return acc->Add(in.BoxedValue(static_cast<size_t>(a.column), row));
+    GatherRow(in, row, &row_scratch_);
+    ++stats_.fallback_rows;
+    PCQE_ASSIGN_OR_RETURN(Value v, a.spec->arg->Eval(row_scratch_));
+    return acc->Add(v);
+  };
+
+  // One output row per group: aggregates folded over the members in member
+  // order, lineage the OR (DISTINCT) or AND (GROUP BY; `true` for no
+  // members) of the member lineages in member order.
+  VecFactor factor;
+  factor.lineages.resize(num_groups);
+  factor.sel.resize(num_groups);
+  std::vector<LineageRef> group_lineage;
+  for (uint32_t g = 0; g < num_groups; ++g) {
+    const uint32_t* first = members.data() + member_start[g];
+    const uint32_t* last = members.data() + member_start[g + 1];
+    for (size_t j = 0; j < inputs.size(); ++j) {
+      exec_internal::AggAccumulator acc(inputs[j].spec->func);
+      for (const uint32_t* m = first; m != last; ++m) {
+        PCQE_RETURN_NOT_OK(feed(inputs[j], *m, &acc));
+      }
+      out.columns[num_keys + j].owned.push_back(acc.Finish());
+    }
+    group_lineage.clear();
+    for (const uint32_t* m = first; m != last; ++m) group_lineage.push_back(row_lineage[*m]);
+    if (distinct) {
+      factor.lineages[g] = arena_->Or(group_lineage);
+    } else {
+      factor.lineages[g] = group_lineage.empty() ? arena_->True() : arena_->And(group_lineage);
+    }
+    factor.sel[g] = g;
+  }
+  out.num_rows = num_groups;
+  out.factors.push_back(std::move(factor));
+  return out;
+}
+
+Result<VecResult> VectorExecutor::RunSetOp(const PlanNode& plan) {
+  // Both sides materialize in plan order into the shared row implementation.
   PCQE_ASSIGN_OR_RETURN(VecResult left, Run(*plan.left));
   PCQE_ASSIGN_OR_RETURN(VecResult right, Run(*plan.right));
   PCQE_ASSIGN_OR_RETURN(std::vector<ExecRow> lrows, Materialize(left));
@@ -650,7 +846,7 @@ Result<VecResult> VectorExecutor::RunGrouping(const PlanNode& plan) {
   PCQE_ASSIGN_OR_RETURN(
       std::vector<ExecRow> rows,
       exec_internal::SetOpRows(plan.kind, std::move(lrows), std::move(rrows), arena_));
-  return WrapRows(std::move(rows), width);
+  return WrapRows(std::move(rows), plan.output_schema.num_columns());
 }
 
 Value VecResult::BoxedValue(size_t col, size_t row) const {

@@ -20,9 +20,15 @@
 // Bit-identity contract with the row engine: same values, same row order,
 // same lineage structure per row (hence bit-identical confidences via the
 // same left-fold evaluation), same costs and released sets downstream.
-// Grouping operators (DISTINCT, set ops, GROUP BY) share the row engine's
-// implementation outright (query/exec_common.h); order-preserving operators
-// replicate the row engine's emission order exactly.
+// Order-preserving operators replicate the row engine's emission order
+// exactly. DISTINCT and GROUP BY run natively: group ids are assigned in
+// first-seen order under the row engine's grouping equality
+// (`ValueVecHash`/`ValueVecEq`), aggregates fold through its
+// `AggAccumulator`, and each group's lineage is the OR (DISTINCT) or AND
+// (GROUP BY) of its members' row lineages in member order, interned in the
+// order materializing the input would intern them. Set operations still
+// materialize their inputs into the row engine's implementation
+// (query/exec_common.h).
 
 #ifndef PCQE_QUERY_VEC_EXECUTOR_H_
 #define PCQE_QUERY_VEC_EXECUTOR_H_
@@ -148,9 +154,14 @@ class VectorExecutor {
   [[nodiscard]] Result<VecResult> RunJoin(const PlanNode& plan);
   [[nodiscard]] Result<VecResult> RunSort(const PlanNode& plan);
   [[nodiscard]] Result<VecResult> RunLimit(const PlanNode& plan);
-  /// DISTINCT / set ops / GROUP BY: materializes the factorized inputs and
-  /// delegates to the row engine's shared grouping implementation.
-  [[nodiscard]] Result<VecResult> RunGrouping(const PlanNode& plan);
+  /// DISTINCT / GROUP BY, natively over the factorized input: hash group
+  /// ids in first-seen order, aggregates folded per group through the row
+  /// engine's `AggAccumulator`, one materialized factor of per-group lineage.
+  /// No input row is materialized.
+  [[nodiscard]] Result<VecResult> RunHashGrouping(const PlanNode& plan);
+  /// Set operations: materializes both inputs and delegates to the row
+  /// engine's shared implementation (query/exec_common.h).
+  [[nodiscard]] Result<VecResult> RunSetOp(const PlanNode& plan);
 
   /// Lineage leaf of factor `f`, domain row `row` (interned Var for scan
   /// factors, stored ref for materialized factors).

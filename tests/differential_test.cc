@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "strategy/brute_force.h"
 #include "strategy/dnc.h"
 #include "strategy/greedy.h"
@@ -165,14 +166,19 @@ TEST(DifferentialTest, AllSolversAgreeWithBruteForce) {
 }
 
 TEST(DifferentialTest, DeadlineBoundedDncMatchesBruteFeasibility) {
-  // Anytime contract for a *bare* kDnc under a tight real deadline: the
+  // Anytime contract for a *bare* kDnc whose deadline expires mid-solve: the
   // result must still be grid-valid and agree with brute force on
-  // feasibility. On these tiny monotone instances the deadline-bounded
-  // greedy primer finishes in microseconds, so even when the 5 ms budget
-  // cuts the fill off mid-raise the fallback incumbent keeps the verdict
-  // feasible — the regression this sweep pins down. Costs stay in the
-  // documented band; optimality/completeness claims are not checked (a
-  // deadline-stopped run is exempt from the bit-determinism contract).
+  // feasibility. Even when the expiry cuts the fill off mid-raise, the
+  // greedy primer's fallback incumbent keeps the verdict feasible — the
+  // regression this sweep pins down. The expiry is injected at the D&C
+  // deadline probe, after a seed-dependent number of probes, so every seed
+  // is cut at the same point on any machine under any load. The real
+  // deadline is finite, which turns the primer on, and generous, so the
+  // primer always finishes (it polls its own probe, which stays unarmed).
+  // Costs stay in the documented band; optimality/completeness claims are
+  // not checked (a deadline-stopped run is exempt from the bit-determinism
+  // contract).
+  constexpr uint64_t kCutPoints = 6;
   size_t partial_runs = 0;
   for (uint64_t seed = 0; seed < kNumInstances; ++seed) {
     SCOPED_TRACE(::testing::Message()
@@ -185,9 +191,13 @@ TEST(DifferentialTest, DeadlineBoundedDncMatchesBruteFeasibility) {
     Result<IncrementSolution> brute = SolveBruteForce(*problem);
     ASSERT_TRUE(brute.ok()) << brute.status().ToString();
 
+    FaultInjector::SiteConfig cut;
+    cut.fire_after = seed % kCutPoints;
+    FaultInjector::Global().Arm(fault_sites::kDncDeadline, cut);
     DncOptions options;
-    options.deadline = Deadline::AfterMillis(5);
+    options.deadline = Deadline::AfterMillis(60'000);
     Result<IncrementSolution> dnc = SolveDnc(*problem, options);
+    FaultInjector::Global().DisarmAll();
     ASSERT_TRUE(dnc.ok()) << dnc.status().ToString();
     Status valid = ValidateSolution(*problem, *dnc);
     ASSERT_TRUE(valid.ok()) << valid.ToString();
@@ -198,8 +208,8 @@ TEST(DifferentialTest, DeadlineBoundedDncMatchesBruteFeasibility) {
       EXPECT_LE(dnc->total_cost, CeilingCost(*problem) + 1e-6);
     }
   }
-  // Informational only: on a fast machine most runs complete inside 5 ms.
-  (void)partial_runs;
+  // The injected expiry cuts every solve that reaches its probe.
+  EXPECT_GT(partial_runs, 0u);
 }
 
 }  // namespace

@@ -147,6 +147,40 @@ TEST(ParserTest, ExpressionPrecedence) {
   EXPECT_EQ(arith->ToString(), "((1 + (2 * 3)) - (4 / 2))");
 }
 
+TEST(ParserTest, NegatedNumericLiteralsFold) {
+  // `-<numeric literal>` parses as the literal itself, computed as evaluating
+  // the negation would: comparisons against it are plain column-versus-
+  // literal shapes (the vectorized filter kernels' input).
+  auto five = *ParseExpression("- 5");
+  ASSERT_EQ(five->kind(), ExprKind::kLiteral);
+  EXPECT_EQ(five->literal().type(), DataType::kInt64);
+  EXPECT_EQ(*five->literal().AsInt(), -5);
+  auto twice = *ParseExpression("- -5");
+  ASSERT_EQ(twice->kind(), ExprKind::kLiteral);
+  EXPECT_EQ(*twice->literal().AsInt(), 5);
+  auto widest = *ParseExpression("-9223372036854775807");
+  ASSERT_EQ(widest->kind(), ExprKind::kLiteral);
+  EXPECT_EQ(*widest->literal().AsInt(), -9223372036854775807LL);
+  auto real = *ParseExpression("-2.5");
+  ASSERT_EQ(real->kind(), ExprKind::kLiteral);
+  EXPECT_EQ(real->literal().type(), DataType::kDouble);
+  EXPECT_EQ(*real->literal().AsDouble(), -2.5);
+  auto compare = *ParseExpression("calib >= -20");
+  ASSERT_EQ(compare->right()->kind(), ExprKind::kLiteral);
+  EXPECT_EQ(compare->ToString(), "(calib >= -20)");
+
+  // Anything else stays a negation: columns, NULL, and non-numeric literals
+  // (which must still fail to bind).
+  auto column = *ParseExpression("-amount");
+  ASSERT_EQ(column->kind(), ExprKind::kUnary);
+  EXPECT_EQ(column->unary_op(), UnaryOp::kNegate);
+  EXPECT_EQ(column->ToString(), "(-amount)");
+  EXPECT_EQ((*ParseExpression("-NULL"))->kind(), ExprKind::kUnary);
+  auto text = *ParseExpression("-'abc'");
+  ASSERT_EQ(text->kind(), ExprKind::kUnary);
+  EXPECT_TRUE(text->Bind(Schema()).IsBindError());
+}
+
 TEST(ParserTest, InDesugarsToDisjunction) {
   auto e = *ParseExpression("x IN (1, 2, 3)");
   EXPECT_EQ(e->ToString(), "(((x = 1) OR (x = 2)) OR (x = 3))");

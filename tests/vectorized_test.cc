@@ -2,12 +2,15 @@
 // interpreter (query/executor.h) is the reference; the column-chunk
 // interpreter (query/vec_executor.h) must be *bit-identical* — same values,
 // same row order, the exact same IEEE doubles for every confidence, the same
-// released sets and solver costs through the full engine pipeline.
+// lineage formulas, the same released sets and solver costs through the full
+// engine pipeline.
 //
 // Three layers of checking:
-//  - a seeded sweep of 120+ random catalog/query instances spanning scans,
-//    kernelized and fallback filters, factorized joins (with duplicate keys),
-//    DISTINCT / GROUP BY / set ops, ORDER BY and LIMIT;
+//  - a seeded sweep of 200 random catalog/query instances spanning scans,
+//    kernelized (negative literals included) and fallback filters,
+//    factorized joins (with duplicate keys), DISTINCT / GROUP BY with every
+//    aggregate and NULL, string, multi-column and expression keys, set ops,
+//    ORDER BY and LIMIT;
 //  - chunk-topology edge cases: empty tables, singletons, and tables sized
 //    exactly at / one off the 2048-row chunk boundary, with selections that
 //    straddle it;
@@ -35,25 +38,39 @@
 namespace pcqe {
 namespace {
 
-// orders(id INT64, customer INT64, amount DOUBLE, tag STRING) plus
-// customers(customer INT64, region STRING). Customer keys are drawn from a
-// small domain so joins see duplicate build keys and factorized groups with
-// more than one member.
+// orders(id INT64, customer INT64, amount DOUBLE, tag STRING, score INT64,
+// delta DOUBLE) plus customers(customer INT64, region STRING). Customer keys
+// are drawn from a small domain so joins see duplicate build keys and
+// factorized groups with more than one member. `score` and `delta` are
+// signed (negative-literal filters select on them) and nullable (NULL group
+// keys and NULL aggregate arguments); they draw from their own generator, so
+// adding them left the other columns' values as they were.
 void BuildSweepCatalog(uint64_t seed, size_t num_orders, Catalog* catalog) {
   Rng rng(0xC0FFEE ^ seed);
+  Rng signed_rng(0x5EED5 ^ seed);
   Table* orders = *catalog->CreateTable(
       "orders", Schema({{"id", DataType::kInt64, ""},
                         {"customer", DataType::kInt64, ""},
                         {"amount", DataType::kDouble, ""},
-                        {"tag", DataType::kString, ""}}));
+                        {"tag", DataType::kString, ""},
+                        {"score", DataType::kInt64, ""},
+                        {"delta", DataType::kDouble, ""}}));
   int64_t key_domain = static_cast<int64_t>(num_orders / 3) + 2;
+  auto score = [&] {
+    return signed_rng.Bernoulli(0.2) ? Value::Null() : Value::Int(signed_rng.UniformInt(-6, 6));
+  };
+  auto delta = [&] {
+    return signed_rng.Bernoulli(0.1) ? Value::Null()
+                                     : Value::Double(signed_rng.Uniform(-100.0, 100.0));
+  };
   for (size_t i = 0; i < num_orders; ++i) {
     ASSERT_TRUE(orders
                     ->Insert({Value::Int(static_cast<int64_t>(i)),
                               Value::Int(rng.UniformInt(0, key_domain)),
                               Value::Double(rng.Uniform(0.0, 1000.0)),
                               Value::String(StrFormat("tag-%d", static_cast<int>(
-                                                                    rng.UniformInt(0, 4))))},
+                                                                    rng.UniformInt(0, 4)))),
+                              score(), delta()},
                              rng.Uniform(0.05, 0.95))
                     .ok());
   }
@@ -75,14 +92,23 @@ void BuildSweepCatalog(uint64_t seed, size_t num_orders, Catalog* catalog) {
   }
 }
 
+// Query shapes in the sweep; every shape runs kInstancesPerShape times.
+constexpr uint64_t kNumShapes = 25;
+constexpr uint64_t kInstancesPerShape = 8;
+
 // A query family covering every vectorized operator and both the typed
 // kernels and the row-at-a-time fallback (string predicates, computed
-// projections). Literals derive from the seed so selectivities vary.
+// projections), plus negative literals, every aggregate, multi-column,
+// string and expression GROUP BY keys, NULL keys and arguments, a
+// two-column DISTINCT over a join and a DISTINCT over a self-join. Literals
+// derive from the seed so selectivities vary.
 std::string SweepQuery(uint64_t seed) {
   double amount = 100.0 + 60.0 * static_cast<double>(seed % 13);
   int64_t key = static_cast<int64_t>(seed % 9);
   int tag = static_cast<int>(seed % 5);
-  switch (seed % 16) {
+  double neg = 5.0 + 7.5 * static_cast<double>(seed % 11);
+  int64_t neg_score = static_cast<int64_t>(seed % 6);
+  switch (seed % kNumShapes) {
     case 0:
       return "SELECT * FROM orders";
     case 1:
@@ -131,17 +157,61 @@ std::string SweepQuery(uint64_t seed) {
           amount);
     case 14:
       return "SELECT customer FROM orders INTERSECT SELECT customer FROM customers";
-    default:  // the paper's running-example shape: DISTINCT subquery + join
+    case 15:  // the paper's running-example shape: DISTINCT subquery + join
       return StrFormat(
           "SELECT c.customer, c.region FROM "
           "(SELECT DISTINCT customer FROM orders WHERE amount < %g) AS a "
           "JOIN customers AS c ON a.customer = c.customer",
           amount);
+    case 16:  // negative-literal range filters, DOUBLE and BIGINT, one flipped
+      return StrFormat(
+          "SELECT id, score, delta FROM orders "
+          "WHERE delta >= -%g AND delta < %g AND -%lld <= score",
+          neg, 60.0 - neg, static_cast<long long>(neg_score));
+    case 17:  // NULL group keys; AVG/MIN/MAX over nullable and string columns
+      return StrFormat(
+          "SELECT score, AVG(amount) AS mean, MIN(delta) AS lo, MAX(tag) AS hi, "
+          "COUNT(delta) AS n FROM orders WHERE amount < %g GROUP BY score",
+          amount);
+    case 18:  // multi-column GROUP BY with a string key
+      return StrFormat(
+          "SELECT tag, score, COUNT(*) AS n, SUM(score) AS s, MAX(amount) AS top "
+          "FROM orders WHERE delta > -%g GROUP BY tag, score",
+          neg);
+    case 19:  // expression keys (negative literal inside) and an expression argument
+      return "SELECT score - -3 AS k, COUNT(*) AS n, SUM(amount + delta) AS s, "
+             "MIN(score * 2) AS m FROM orders GROUP BY score - -3";
+    case 20:  // two-column DISTINCT over a join, NULLs in one column
+      return StrFormat(
+          "SELECT DISTINCT c.region, o.score FROM orders AS o "
+          "JOIN customers AS c ON o.customer = c.customer WHERE o.amount < %g",
+          amount);
+    case 21:  // global aggregates, empty input when nothing clears the filter
+      return StrFormat(
+          "SELECT COUNT(*), COUNT(score), SUM(delta), AVG(score), MIN(delta), "
+          "MAX(score) FROM orders WHERE delta < -%g",
+          90.0 + static_cast<double>(seed % 3) * 5.0);
+    case 22:  // DISTINCT with a NULL group, ordered
+      return "SELECT DISTINCT score, tag FROM orders ORDER BY score, tag";
+    case 23:  // self-join DISTINCT: the pairs (i, j) and (j, i) share a lineage
+              // node whose child order is set by whichever is interned first
+      return StrFormat(
+          "SELECT DISTINCT a.tag FROM orders AS a JOIN orders AS b "
+          "ON a.customer = b.customer WHERE b.amount < %g",
+          amount);
+    default:  // HAVING over aggregate columns, GROUP BY a join column
+      return StrFormat(
+          "SELECT c.region, MIN(o.amount) AS lo, AVG(o.delta) AS d FROM orders AS o "
+          "JOIN customers AS c ON o.customer = c.customer "
+          "GROUP BY c.region HAVING MIN(o.amount) < %g",
+          amount);
   }
 }
 
-// Bit-identity: values compare with Value::operator== and confidences with
-// exact double equality (no tolerance — the contract is the same IEEE bits).
+// Bit-identity: values compare with Value::operator== (and by type, so an
+// INT 3 never stands in for a DOUBLE 3.0), confidences with exact double
+// equality (no tolerance — the contract is the same IEEE bits), and lineage
+// formulas by their rendering, child order included.
 void ExpectBitIdentical(const QueryResult& row_result, const QueryResult& vec_result) {
   ASSERT_EQ(row_result.schema.num_columns(), vec_result.schema.num_columns());
   ASSERT_EQ(row_result.rows.size(), vec_result.rows.size());
@@ -152,8 +222,12 @@ void ExpectBitIdentical(const QueryResult& row_result, const QueryResult& vec_re
     ASSERT_EQ(a.values.size(), b.values.size());
     for (size_t c = 0; c < a.values.size(); ++c) {
       EXPECT_EQ(a.values[c], b.values[c]) << "column " << c;
+      EXPECT_EQ(a.values[c].type(), b.values[c].type()) << "column " << c;
     }
     EXPECT_EQ(a.confidence, b.confidence);
+    if (!vec_result.lineage_deferred()) {
+      EXPECT_EQ(row_result.arena->ToString(a.lineage), vec_result.arena->ToString(b.lineage));
+    }
   }
 }
 
@@ -186,10 +260,11 @@ void RunBothAndCompare(const Catalog& catalog, const std::string& sql) {
   ExpectBitIdentical(*row_result, *deferred);
 }
 
-// ≥ 100 seeded instances (the harness contract); sizes cycle through small
-// tables, a prime mid-size and an exact chunk multiple.
+// ≥ 100 seeded instances (the harness contract), kInstancesPerShape of
+// each shape; sizes cycle through small tables, a prime mid-size and an
+// exact chunk multiple.
 TEST(VectorizedDifferential, SeededSweepIsBitIdentical) {
-  constexpr uint64_t kNumInstances = 128;
+  constexpr uint64_t kNumInstances = kNumShapes * kInstancesPerShape;
   constexpr size_t kSizes[] = {0, 1, 3, 17, 100, 257, 500};
   for (uint64_t seed = 0; seed < kNumInstances; ++seed) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
@@ -235,6 +310,26 @@ TEST(VectorizedDifferential, EmptyAndSingletonTables) {
   BuildSweepCatalog(/*seed=*/2, /*num_orders=*/1, &one);
   RunBothAndCompare(one, "SELECT * FROM orders");
   RunBothAndCompare(one, "SELECT customer, COUNT(*) FROM orders GROUP BY customer");
+}
+
+// `-<literal>` parses as a literal, so negative-literal range filters run on
+// the typed kernels (no row goes through tuple-at-a-time evaluation), and so
+// does grouping over their output.
+TEST(VectorizedDifferential, NegativeLiteralFiltersStayOnKernels) {
+  Catalog catalog;
+  BuildSweepCatalog(/*seed=*/7, kColumnChunkCapacity + 300, &catalog);
+  for (const char* sql :
+       {"SELECT id, delta FROM orders WHERE delta >= -20.5 AND delta < -2",
+        "SELECT id FROM orders WHERE -3 < score AND score <= - -4",
+        "SELECT score, COUNT(*) AS n, AVG(delta) AS mean, MIN(amount) AS lo FROM orders "
+        "WHERE delta >= -50 GROUP BY score",
+        "SELECT DISTINCT score, tag FROM orders WHERE delta < -10.25"}) {
+    SCOPED_TRACE(::testing::Message() << "query: " << sql);
+    QueryResult vec = *RunQuery(catalog, sql, nullptr, ExecutionMode::kVectorized);
+    EXPECT_GT(vec.rows.size(), 0u);
+    EXPECT_EQ(vec.vec_stats.fallback_rows, 0u);
+    RunBothAndCompare(catalog, sql);
+  }
 }
 
 // Deferred (unboxed) results must box the same values on demand, row by row

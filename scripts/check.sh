@@ -95,6 +95,39 @@ echo "$VEC_METRICS" | grep -q '^pcqe_engine_vec_fallback_rows_total 0$' \
   || { echo "GROUP BY smoke failed: rows took the row-at-a-time fallback"; \
        echo "$VEC_METRICS" | grep fallback_rows; exit 1; }
 
+# Served grouped smoke: a single-table GROUP BY through the service, whose
+# cache keeps the vectorized result's group lineage deferred. A shortfall
+# (.fraction 0.9) makes the solver box it, `.why` explains the blocked group,
+# and a repeat at .fraction 0 is a cache hit that `.why` boxes on demand.
+# Both modes must print byte-identical output.
+echo "== shell: served grouped smoke"
+SERVE_CSV=$(mktemp)
+cat > "$SERVE_CSV" <<'EOF'
+site,v,conf
+7,1.5,0.3
+3,2.0,0.9
+7,2.5,0.2
+3,3.0,0.8
+3,3.5,0.95
+7,4.0,0.4
+5,1.0,0.6
+EOF
+SERVE_SQL='SELECT site, COUNT(*) AS n, SUM(v) AS s FROM t GROUP BY site;'
+run_served_mode() {
+  printf '.load t %s conf\n.role add R\n.user add u\n.role grant u R\n.policy add R general 0.1\n.exec %s\n.serve 2\n.session u\n.fraction 0.9\n%s\n.why 1\n.fraction 0\n%s\n.why 1\n.quit\n' \
+    "$SERVE_CSV" "$1" "$SERVE_SQL" "$SERVE_SQL" | build/tools/pcqe_shell | grep -v "execution mode"
+}
+ROW_SERVED=$(run_served_mode row)
+VEC_SERVED=$(run_served_mode vec)
+rm -f "$SERVE_CSV"
+[[ "$ROW_SERVED" == "$VEC_SERVED" ]] \
+  || { echo "served grouped smoke failed: row/vec outputs differ"; \
+       diff <(echo "$ROW_SERVED") <(echo "$VEC_SERVED") || true; exit 1; }
+echo "$VEC_SERVED" | grep -q "improvement available" \
+  || { echo "served grouped smoke failed: no shortfall proposal"; echo "$VEC_SERVED"; exit 1; }
+[[ $(echo "$VEC_SERVED" | grep -c "most influential base tuples") -eq 2 ]] \
+  || { echo "served grouped smoke failed: .why explained no row"; echo "$VEC_SERVED"; exit 1; }
+
 # Observability smoke: `.explain analyze json` must report a profiled
 # operator tree and `.audit json` must reconstruct the policy decision —
 # without ever exporting a blocked value. Rendered JSON is kept under

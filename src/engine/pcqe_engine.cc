@@ -280,21 +280,29 @@ std::string BlockedRowLineageSummary(
     const QueryResult& qr, size_t row,
     const std::map<uint32_t, std::string>& table_names) {
   std::vector<std::string> parts;
+  auto add = [&](LineageVarId id) {
+    auto table_id = static_cast<uint32_t>(id >> 32);
+    auto base_row = static_cast<uint32_t>(id & 0xffffffffU);
+    auto it = table_names.find(table_id);
+    std::string table = it != table_names.end() ? it->second : StrFormat("t%u", table_id);
+    parts.push_back(StrFormat("%s#%u", table.c_str(), base_row));
+  };
   if (!qr.lineage_deferred() && qr.rows[row].lineage != kNullLineage) {
-    for (LineageVarId id : qr.arena->Variables(qr.rows[row].lineage)) {
-      auto table_id = static_cast<uint32_t>(id >> 32);
-      auto base_row = static_cast<uint32_t>(id & 0xffffffffU);
-      auto it = table_names.find(table_id);
-      std::string table =
-          it != table_names.end() ? it->second : StrFormat("t%u", table_id);
-      parts.push_back(StrFormat("%s#%u", table.c_str(), base_row));
-    }
+    for (LineageVarId id : qr.arena->Variables(qr.rows[row].lineage)) add(id);
   } else if (qr.columnar != nullptr) {
-    // Deferred factorized result: the factors name the base tuples directly,
-    // no lineage interning needed.
+    // Deferred factorized result: the factors name the base tuples directly
+    // (a group's members in member order, else one tuple per scan factor in
+    // plan order), no lineage interning needed.
     for (const VecFactor& f : qr.columnar->factors) {
-      if (f.table == nullptr) continue;
-      parts.push_back(StrFormat("%s#%u", f.table->name().c_str(), f.sel[row]));
+      const uint32_t r = f.sel[row];
+      if (f.group != nullptr) {
+        const GroupFactor& g = *f.group;
+        for (uint32_t m = g.member_start[r]; m < g.member_start[r + 1]; ++m) {
+          add((static_cast<LineageVarId>(g.table_id) << 32) | g.members[m]);
+        }
+      } else if (f.table != nullptr) {
+        add((static_cast<LineageVarId>(f.table->table_id()) << 32) | r);
+      }
     }
   }
   return JoinStrings(parts, " * ");

@@ -1,6 +1,7 @@
 #include "lineage/lineage.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "common/string_util.h"
 
@@ -158,54 +159,65 @@ LineageRef LineageArena::Not(LineageRef child) {
   }
 }
 
-void LineageArena::CountOccurrences(
-    LineageRef ref, std::vector<uint32_t>* counts_by_node,
-    std::vector<std::pair<LineageVarId, uint32_t>>* var_counts) const {
+std::vector<LineageRef> LineageArena::Reachable(LineageRef ref) const {
+  // Every edge is followed once per expanded parent; a shared composite is
+  // expanded only the first time, so the walk is linear in the formula.
+  // Leaves and repeats are deduplicated by the final sort, which keeps the
+  // common OR / AND of variables free of hashing.
+  std::vector<LineageRef> out{ref};
+  std::unordered_set<LineageRef> expanded;
+  for (size_t i = 0; i < out.size(); ++i) {
+    const std::vector<LineageRef>& children = nodes_[out[i]].children;
+    if (children.empty() || (i > 0 && !expanded.insert(out[i]).second)) continue;
+    out.insert(out.end(), children.begin(), children.end());
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+std::vector<std::pair<LineageVarId, uint32_t>> LineageArena::CountOccurrences(
+    LineageRef ref) const {
   // Children always have smaller arena indices than their parents, so one
-  // high-to-low sweep propagates tree-position multiplicities through DAG
-  // sharing in O(nodes + edges).
-  counts_by_node->assign(nodes_.size(), 0);
-  (*counts_by_node)[ref] = 1;
-  for (size_t i = ref + 1; i-- > 0;) {
-    uint32_t count = (*counts_by_node)[i];
-    if (count == 0) continue;
-    const Node& node = nodes_[i];
+  // high-to-low sweep over the reachable nodes propagates tree-position
+  // multiplicities through DAG sharing in O((nodes + edges) log nodes) of
+  // the formula, whatever the size of the arena.
+  const std::vector<LineageRef> reachable = Reachable(ref);
+  std::vector<uint32_t> counts(reachable.size(), 0);
+  counts.back() = 1;  // `ref` itself, the largest reachable index
+  std::vector<std::pair<LineageVarId, uint32_t>> var_counts;
+  for (size_t i = reachable.size(); i-- > 0;) {
+    const uint32_t count = counts[i];
+    const Node& node = nodes_[reachable[i]];
     if (node.op == LineageOp::kVar) {
-      var_counts->emplace_back(node.var, count);
+      var_counts.emplace_back(node.var, count);
       continue;
     }
     for (LineageRef c : node.children) {
       // Saturating add: multiplicity beyond 2 is indistinguishable for our
       // purposes ("shared" vs "read-once").
-      uint32_t& slot = (*counts_by_node)[c];
+      uint32_t& slot =
+          counts[std::lower_bound(reachable.begin(), reachable.end(), c) - reachable.begin()];
       slot = (slot > 0xFFFF) ? slot : slot + count;
     }
   }
+  // Emitted in descending node order; restore first-creation (ascending
+  // node) order, which matches first-seen order for interned vars.
+  std::reverse(var_counts.begin(), var_counts.end());
+  return var_counts;
 }
 
 std::vector<LineageVarId> LineageArena::Variables(LineageRef ref) const {
-  std::vector<uint32_t> counts;
-  std::vector<std::pair<LineageVarId, uint32_t>> var_counts;
-  CountOccurrences(ref, &counts, &var_counts);
-  // var_counts was emitted in descending node order; restore first-creation
-  // (ascending node) order, which matches first-seen order for interned vars.
-  std::reverse(var_counts.begin(), var_counts.end());
   std::vector<LineageVarId> out;
-  out.reserve(var_counts.size());
-  for (const auto& [id, n] : var_counts) {
-    (void)n;
-    out.push_back(id);
+  for (LineageRef r : Reachable(ref)) {
+    if (nodes_[r].op == LineageOp::kVar) out.push_back(nodes_[r].var);
   }
   return out;
 }
 
 std::vector<LineageVarId> LineageArena::SharedVariables(LineageRef ref) const {
-  std::vector<uint32_t> counts;
-  std::vector<std::pair<LineageVarId, uint32_t>> var_counts;
-  CountOccurrences(ref, &counts, &var_counts);
-  std::reverse(var_counts.begin(), var_counts.end());
   std::vector<LineageVarId> out;
-  for (const auto& [id, n] : var_counts) {
+  for (const auto& [id, n] : CountOccurrences(ref)) {
     if (n > 1) out.push_back(id);
   }
   return out;

@@ -105,7 +105,9 @@ class LineageArena {
     return nodes_[ref].children;
   }
 
-  /// Distinct variable ids appearing under `ref`, in first-seen order.
+  /// Distinct variable ids appearing under `ref`, in first-creation order
+  /// (the order their nodes were interned). Visits only the nodes reachable
+  /// from `ref`, so the cost follows the formula, not the arena.
   std::vector<LineageVarId> Variables(LineageRef ref) const;
 
   /// All interned variables as (id, ref) pairs (unordered). Confidence
@@ -143,8 +145,11 @@ class LineageArena {
   LineageRef Append(Node node);
   /// Returns the existing node for (op, children-as-a-set) or creates one.
   LineageRef Intern(LineageOp op, const std::vector<LineageRef>& children);
-  void CountOccurrences(LineageRef ref, std::vector<uint32_t>* counts_by_node,
-                        std::vector<std::pair<LineageVarId, uint32_t>>* var_counts) const;
+  /// The nodes reachable from `ref` (itself included), ascending.
+  std::vector<LineageRef> Reachable(LineageRef ref) const;
+  /// (variable, occurrence count) under `ref` in first-creation order,
+  /// counting DAG sharing as multiple occurrences.
+  std::vector<std::pair<LineageVarId, uint32_t>> CountOccurrences(LineageRef ref) const;
 
   /// Hash of a composite key (op, sorted children) — FNV-1a over the child
   /// refs, seeded with the op, so the unordered interning index never

@@ -37,13 +37,18 @@ void QueryResult::MaterializeValues() {
 
 void QueryResult::MaterializeLineage() {
   if (!defer_lineage) return;
-  arena->Reserve(rows.size());
+  // Nothing was interned for a deferred result, and copies of it (a cached
+  // entry and every completion served from it) share that empty arena. Box
+  // into a fresh arena this copy owns, so no copy ever writes into one that
+  // another reads.
+  PCQE_DCHECK(arena == nullptr || arena->size() == 0);
+  auto boxed = std::make_shared<LineageArena>();
+  boxed->Reserve(rows.size());
   std::vector<LineageRef> scratch;
   for (size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].lineage == kNullLineage) {
-      rows[i].lineage = columnar->BoxRowLineage(arena.get(), i, &scratch);
-    }
+    rows[i].lineage = columnar->BoxRowLineage(boxed.get(), i, &scratch);
   }
+  arena = std::move(boxed);
   defer_lineage = false;
   if (!defer_values) columnar.reset();
 }
@@ -145,66 +150,54 @@ Result<QueryResult> RunQuery(const Catalog& catalog, const std::string& sql,
   if (mode == ExecutionMode::kVectorized) {
     VectorExecutor executor(result.arena.get(),
                             profile != nullptr ? &profiler : nullptr);
-    size_t num_columns = plan->output_schema.num_columns();
     VecResult vec;
     {
       ScopedSpan span(trace, "execute");
-      PCQE_ASSIGN_OR_RETURN(vec, executor.Run(*plan));
+      PCQE_ASSIGN_OR_RETURN(vec, executor.Execute(*plan));
       span.Annotate("rows", std::to_string(vec.num_rows));
     }
-    // ScanRowConfidence's fixed dedupe scratch bounds the factor count.
-    constexpr size_t kMaxDeferredFactors = 8;
-    if (!materialize_values && vec.AllScanFactors() &&
-        vec.factors.size() <= kMaxDeferredFactors) {
-      // Fully deferred serving path: the result stays factorized. Per-row
-      // confidences fold nodelessly over the chunks' confidence vectors
+    result.vec_stats = executor.stats();
+    result.rows.resize(vec.num_rows);
+    if (vec.DefersLineage()) {
+      // The result stays factorized. Per-row confidences fold nodelessly
+      // over the chunks' confidence vectors or come with the groups
       // (bit-identical to evaluating the interned formulas); values box and
       // lineage interns on demand (ValuesOfRow / MaterializeLineage), so
-      // nothing per-row is allocated for rows the policy filter releases.
-      ScopedSpan span(trace, "lineage");
-      result.rows.resize(vec.num_rows);
-      for (size_t i = 0; i < vec.num_rows; ++i) {
-        result.rows[i].confidence = vec.ScanRowConfidence(i);
+      // nothing per row is allocated for rows the policy filter releases.
+      {
+        ScopedSpan span(trace, "lineage");
+        for (size_t i = 0; i < vec.num_rows; ++i) {
+          result.rows[i].confidence = vec.DeferredConfidence(i);
+        }
       }
-      result.vec_stats = executor.stats();
       result.columnar = std::make_shared<const VecResult>(std::move(vec));
       result.defer_values = true;
       result.defer_lineage = true;
-      return result;
-    }
-    {
-      ScopedSpan span(trace, "execute-lineage");
-      result.arena->Reserve(vec.num_rows);
-      result.rows.resize(vec.num_rows);
-      for (size_t i = 0; i < vec.num_rows; ++i) {
-        result.rows[i].lineage = executor.RowLineage(vec, i);
-      }
-    }
-    {
-      // Confidences fold directly over the column chunks' confidence
-      // vectors (memoized per lineage node) — bit-identical to the row
-      // path's snapshot-then-evaluate, without building a ConfidenceMap.
-      ScopedSpan span(trace, "lineage");
-      for (QueryResult::Row& row : result.rows) {
-        row.confidence = executor.ConfidenceOf(row.lineage);
-      }
-    }
-    result.vec_stats = executor.stats();
-    if (materialize_values) {
-      ScopedSpan span(trace, "materialize");
-      for (size_t i = 0; i < vec.num_rows; ++i) {
-        std::vector<Value>& values = result.rows[i].values;
-        values.reserve(num_columns);
-        for (size_t c = 0; c < num_columns; ++c) {
-          values.push_back(vec.BoxedValue(c, i));
+    } else {
+      {
+        ScopedSpan span(trace, "execute-lineage");
+        result.arena->Reserve(vec.num_rows);
+        for (size_t i = 0; i < vec.num_rows; ++i) {
+          result.rows[i].lineage = executor.RowLineage(vec, i);
         }
       }
-    } else {
-      // Values-deferred: the factorized payload boxes on demand
-      // (ValuesOfRow); lineage is already interned (grouped results carry
-      // per-group formulas, so deferral would save nothing).
+      {
+        // Confidences fold directly over the column chunks' confidence
+        // vectors (memoized per lineage node) — bit-identical to the row
+        // path's snapshot-then-evaluate, without building a ConfidenceMap.
+        ScopedSpan span(trace, "lineage");
+        for (QueryResult::Row& row : result.rows) {
+          row.confidence = executor.ConfidenceOf(row.lineage);
+        }
+      }
+      // Values box on demand (ValuesOfRow) from the factorized payload.
       result.columnar = std::make_shared<const VecResult>(std::move(vec));
       result.defer_values = true;
+    }
+    if (materialize_values) {
+      ScopedSpan span(trace, "materialize");
+      result.MaterializeLineage();
+      result.MaterializeValues();
     }
     return result;
   }

@@ -58,17 +58,18 @@ struct QueryResult {
   /// Set when the vectorized engine deferred materialization (the engine's
   /// serving configuration): the factorized payload boxes values
   /// (`ValuesOfRow` / `MaterializeValues`) and — for pure
-  /// scan/filter/join/sort/limit pipelines — lineage formulas
-  /// (`MaterializeLineage`) on demand. The payload borrows the scanned
-  /// tables' column chunks — materialize before dropping or reloading the
-  /// catalog. Null when everything is materialized eagerly (the `RunQuery`
-  /// default) or `mode == kRow`.
+  /// scan/filter/join/sort/limit pipelines and for a DISTINCT or GROUP BY
+  /// over one table — lineage formulas (`MaterializeLineage`) on demand.
+  /// Scan factors borrow the scanned tables' column chunks — materialize
+  /// before dropping or reloading the catalog. Null when everything is
+  /// materialized eagerly (the `RunQuery` default) or `mode == kRow`.
   std::shared_ptr<const VecResult> columnar;
   /// True while `rows[i].values` is empty and boxes via `columnar`.
   bool defer_values = false;
-  /// True while `rows[i].lineage` is `kNullLineage` (confidences are always
-  /// computed — nodelessly, from the factorization — so policy filtering
-  /// never needs the formulas; see `VecResult::ScanRowConfidence`).
+  /// True while `rows[i].lineage` is `kNullLineage` and `arena` is empty
+  /// (confidences are always computed — nodelessly, from the factorization —
+  /// so policy filtering never needs the formulas; see
+  /// `VecResult::DeferredConfidence`).
   bool defer_lineage = false;
 
   /// True when `rows[i].values` must be boxed via `columnar` first.
@@ -85,12 +86,14 @@ struct QueryResult {
   /// (the service's cache hands each request its own copy).
   void MaterializeValues();
 
-  /// Interns every deferred row's lineage formula into `arena` (idempotent,
-  /// no-op when eager), with the exact structure the eager paths build.
-  /// Mutates the *shared* arena — copies of one result share it by
-  /// `shared_ptr` — so this must never run concurrently with any other use
-  /// of the same arena (the service materializes lineage before a result
-  /// enters its shared cache for exactly this reason).
+  /// Interns every deferred row's lineage formula, with the exact structure
+  /// the eager paths build, into a new arena that this result then owns
+  /// (idempotent, no-op when eager). Copies of one result share `arena` by
+  /// `shared_ptr`, and a deferred result's shared arena is empty, so boxing
+  /// never writes into an arena that another copy reads: the service caches
+  /// results unboxed, and a shortfall solve, the shell's `.why` or a client
+  /// holding a served outcome each box their own copy. Not synchronized
+  /// itself: one copy must not be materialized by two threads at once.
   void MaterializeLineage();
 
   /// Re-derives every row's confidence from `confidences` (base-tuple id →
@@ -116,8 +119,9 @@ struct QueryResult {
 /// row engine is kept as the differential reference — see
 /// tests/vectorized_test.cc). With `materialize_values` false the vectorized
 /// engine skips per-row value boxing and — when the result is purely
-/// factorized over scans — per-row lineage interning, returning a deferred
-/// result (see `QueryResult::columnar`); confidences are always computed,
+/// factorized over scans, or is a DISTINCT or GROUP BY over one table —
+/// per-row lineage interning, returning a deferred result (see
+/// `QueryResult::columnar`); confidences are always computed,
 /// bit-identically. The row engine ignores the flag (its operators are
 /// inherently materialized). A non-null `profile` enables `EXPLAIN ANALYZE`
 /// collection: the executor records one `OperatorProfile` node per operator

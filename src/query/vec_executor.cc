@@ -1,6 +1,7 @@
 #include "query/vec_executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -219,7 +220,141 @@ struct AggInput {
   std::optional<BorrowedColumn> typed;
 };
 
+/// First-seen group ids over BIGINT grouping keys read straight from the
+/// chunks. Keys compare as doubles, exactly as `Value::Compare` compares
+/// BIGINTs, so the groups are the boxed path's: values that round to the same
+/// double group together, and NULL keys (a mask bit, value 0) group with each
+/// other. Open addressing over group ids; the keys themselves live flat, one
+/// row of `num_keys` doubles per group.
+class Int64KeyIndex {
+ public:
+  /// Mask bits bound the key count.
+  static constexpr size_t kMaxKeys = 32;
+
+  explicit Int64KeyIndex(size_t num_keys) : num_keys_(num_keys), slots_(64, kEmpty) {}
+
+  size_t size() const { return nulls_.size(); }
+
+  /// The group id of `key` (`num_keys` doubles, 0 where `nulls` has a bit);
+  /// sets `*inserted` when the key opens a new group.
+  uint32_t FindOrInsert(const double* key, uint32_t nulls, bool* inserted) {
+    const uint64_t hash = Hash(key, nulls);
+    size_t mask = slots_.size() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const uint32_t g = slots_[i];
+      if (g == kEmpty) break;
+      if (hashes_[g] == hash && nulls_[g] == nulls &&
+          std::equal(key, key + num_keys_, keys_.data() + g * num_keys_)) {
+        *inserted = false;
+        return g;
+      }
+    }
+    const auto g = static_cast<uint32_t>(size());
+    keys_.insert(keys_.end(), key, key + num_keys_);
+    nulls_.push_back(nulls);
+    hashes_.push_back(hash);
+    if (2 * size() > slots_.size()) {
+      slots_.assign(2 * slots_.size(), kEmpty);
+      mask = slots_.size() - 1;
+      for (uint32_t h = 0; h < g; ++h) Place(h, mask);
+    }
+    Place(g, mask);
+    *inserted = true;
+    return g;
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = ~0U;
+
+  /// A double's low mantissa bits are zero for small integers, so every key
+  /// goes through a full 64-bit finalizer (MurmurHash3's fmix64): the
+  /// probe position takes the low bits.
+  uint64_t Hash(const double* key, uint32_t nulls) const {
+    uint64_t h = nulls;
+    for (size_t k = 0; k < num_keys_; ++k) {
+      h ^= std::bit_cast<uint64_t>(key[k]) + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+      h ^= h >> 33;
+      h *= 0xFF51AFD7ED558CCDULL;
+      h ^= h >> 33;
+      h *= 0xC4CEB9FE1A85EC53ULL;
+      h ^= h >> 33;
+    }
+    return h;
+  }
+
+  void Place(uint32_t g, size_t mask) {
+    size_t i = hashes_[g] & mask;
+    while (slots_[i] != kEmpty) i = (i + 1) & mask;
+    slots_[i] = g;
+  }
+
+  size_t num_keys_;
+  std::vector<double> keys_;
+  std::vector<uint32_t> nulls_;
+  std::vector<uint64_t> hashes_;
+  std::vector<uint32_t> slots_;
+};
+
+/// The group factor of a grouping over the single scan factor `scan`:
+/// members become base rows, and each group's confidence folds exactly as
+/// `VectorExecutor::ConfidenceOf` folds the node the eager path interns. A
+/// lone member gives its leaf's confidence (for DISTINCT, `1 - (1 - p)` is
+/// not always `p`); otherwise GROUP BY multiplies the member confidences and
+/// DISTINCT takes one minus the product of their complements, left to right
+/// in member order. That fold stops once the product is 0, and multiplying on
+/// by factors in [0, 1] keeps it 0, so one pass in input order, which meets
+/// each group's members in member order, gives the same doubles.
+std::unique_ptr<const GroupFactor> MakeGroupFactor(const VecFactor& scan, bool distinct,
+                                                   const std::vector<uint32_t>& group_of,
+                                                   std::vector<uint32_t> member_start,
+                                                   std::vector<uint32_t> members) {
+  const TableColumnData& data = scan.table->column_data();
+  auto group = std::make_unique<GroupFactor>();
+  group->table_id = scan.table->table_id();
+  group->disjunctive = distinct;
+  const size_t num_groups = member_start.size() - 1;
+  std::vector<double>& conf = group->confidences;
+  conf.assign(num_groups, 1.0);
+  for (size_t i = 0; i < group_of.size(); ++i) {
+    const double p = data.confidence(scan.sel[i]);
+    conf[group_of[i]] *= distinct ? 1.0 - p : p;
+  }
+  for (uint32_t& m : members) m = scan.sel[m];
+  for (size_t g = 0; g < num_groups; ++g) {
+    if (member_start[g + 1] - member_start[g] == 1) {
+      conf[g] = data.confidence(members[member_start[g]]);
+    } else if (distinct) {
+      conf[g] = 1.0 - conf[g];
+    }
+  }
+  group->member_start = std::move(member_start);
+  group->members = std::move(members);
+  return group;
+}
+
+/// The DISTINCT / GROUP BY whose output reaches the plan root through
+/// operators that only select, reorder or project rows (HAVING, ORDER BY,
+/// LIMIT, the select list), or null. Only it may defer its lineage. Every
+/// other grouping's formulas are interned by a join, set operation or
+/// grouping above it; interning them there instead of in the grouping would
+/// let a sibling subtree intern a node with the same children first, and
+/// that node's child order would then differ from the row engine's.
+const PlanNode* RootGrouping(const PlanNode& plan) {
+  const PlanNode* node = &plan;
+  while (node->kind == PlanKind::kFilter || node->kind == PlanKind::kProject ||
+         node->kind == PlanKind::kSort || node->kind == PlanKind::kLimit) {
+    node = node->left.get();
+  }
+  return node->kind == PlanKind::kDistinct || node->kind == PlanKind::kAggregate ? node
+                                                                                   : nullptr;
+}
+
 }  // namespace
+
+Result<VecResult> VectorExecutor::Execute(const PlanNode& plan) {
+  root_grouping_ = RootGrouping(plan);
+  return Run(plan);
+}
 
 Result<VecResult> VectorExecutor::Run(const PlanNode& plan) {  // NOLINT(misc-no-recursion)
   if (profiler_ == nullptr) return Dispatch(plan);
@@ -238,7 +373,7 @@ Result<VecResult> VectorExecutor::Run(const PlanNode& plan) {  // NOLINT(misc-no
   extra.pruned_rows = stats_.pruned_rows - pruned_rows_before;
   if (result.ok()) {
     for (const VecFactor& f : result->factors) {
-      if (f.table != nullptr) {
+      if (f.table != nullptr || f.group != nullptr) {
         ++extra.scan_factors;
       } else {
         ++extra.mat_factors;
@@ -722,13 +857,51 @@ Result<VecResult> VectorExecutor::RunHashGrouping(const PlanNode& plan) {
       gather_keys = true;
     }
   }
+  // Typed keys when every key is a borrowed BIGINT column.
+  std::vector<BorrowedColumn> int_keys;
+  if (!gather_keys && num_keys > 0 && num_keys <= Int64KeyIndex::kMaxKeys) {
+    for (int col : key_cols) {
+      std::optional<BorrowedColumn> b = ResolveBorrowed(in, static_cast<size_t>(col));
+      if (!b.has_value() || b->type != DataType::kInt64) break;
+      int_keys.push_back(*b);
+    }
+    if (int_keys.size() != num_keys) int_keys.clear();
+  }
 
   // Group ids in first-seen order under SQL grouping equality (NULL keys
-  // group together). The key scratch is reused across rows; the index copies
-  // a key only when it opens a group, and that key is the group's output.
+  // group together). A group's output key is its first member's, boxed once
+  // when the group opens.
   std::vector<uint32_t> group_of(n);
   size_t num_groups = 0;
-  {
+  if (!int_keys.empty()) {
+    Int64KeyIndex index(num_keys);
+    std::vector<double> key(num_keys);
+    std::vector<int64_t> raw(num_keys);
+    for (uint32_t i = 0; i < n; ++i) {
+      uint32_t nulls = 0;
+      for (size_t k = 0; k < num_keys; ++k) {
+        const BorrowedColumn& col = int_keys[k];
+        const uint32_t base = (*col.sel)[i];
+        const ColumnChunk& chunk =
+            col.data->chunk(col.base_col, TableColumnData::ChunkOf(base));
+        const size_t off = TableColumnData::OffsetOf(base);
+        const bool null = chunk.IsNull(off);
+        nulls |= static_cast<uint32_t>(null) << k;
+        raw[k] = null ? 0 : chunk.IntAt(off);
+        key[k] = static_cast<double>(raw[k]);
+      }
+      bool inserted = false;
+      group_of[i] = index.FindOrInsert(key.data(), nulls, &inserted);
+      if (!inserted) continue;
+      for (size_t k = 0; k < num_keys; ++k) {
+        out.columns[k].owned.push_back(((nulls >> k) & 1U) != 0 ? Value::Null()
+                                                                : Value::Int(raw[k]));
+      }
+    }
+    num_groups = index.size();
+  } else {
+    // The boxed key scratch is reused across rows; the index copies a key
+    // only when it opens a group.
     std::unordered_map<std::vector<Value>, uint32_t, ValueVecHash, ValueVecEq> index;
     std::vector<Value> key(num_keys);
     for (uint32_t i = 0; i < n; ++i) {
@@ -761,13 +934,6 @@ Result<VecResult> VectorExecutor::RunHashGrouping(const PlanNode& plan) {
     std::vector<uint32_t> next(member_start.begin(), member_start.end() - 1);
     for (uint32_t i = 0; i < n; ++i) members[next[group_of[i]]++] = i;
   }
-
-  // Member lineages are interned in input order, the order materializing the
-  // input would intern them, so every shared node keeps the child order the
-  // row engine gives it.
-  arena_->Reserve(n);
-  std::vector<LineageRef> row_lineage(n);
-  for (uint32_t i = 0; i < n; ++i) row_lineage[i] = RowLineage(in, i);
 
   std::vector<AggInput> inputs(plan.aggregates.size());
   for (size_t j = 0; j < inputs.size(); ++j) {
@@ -806,31 +972,42 @@ Result<VecResult> VectorExecutor::RunHashGrouping(const PlanNode& plan) {
     return acc->Add(v);
   };
 
-  // One output row per group: aggregates folded over the members in member
-  // order, lineage the OR (DISTINCT) or AND (GROUP BY; `true` for no
-  // members) of the member lineages in member order.
-  VecFactor factor;
-  factor.lineages.resize(num_groups);
-  factor.sel.resize(num_groups);
-  std::vector<LineageRef> group_lineage;
+  // One output row per group, aggregates folded over the members in member
+  // order.
   for (uint32_t g = 0; g < num_groups; ++g) {
-    const uint32_t* first = members.data() + member_start[g];
-    const uint32_t* last = members.data() + member_start[g + 1];
     for (size_t j = 0; j < inputs.size(); ++j) {
       exec_internal::AggAccumulator acc(inputs[j].spec->func);
-      for (const uint32_t* m = first; m != last; ++m) {
-        PCQE_RETURN_NOT_OK(feed(inputs[j], *m, &acc));
+      for (uint32_t m = member_start[g]; m < member_start[g + 1]; ++m) {
+        PCQE_RETURN_NOT_OK(feed(inputs[j], members[m], &acc));
       }
       out.columns[num_keys + j].owned.push_back(acc.Finish());
     }
-    group_lineage.clear();
-    for (const uint32_t* m = first; m != last; ++m) group_lineage.push_back(row_lineage[*m]);
-    if (distinct) {
-      factor.lineages[g] = arena_->Or(group_lineage);
-    } else {
-      factor.lineages[g] = group_lineage.empty() ? arena_->True() : arena_->And(group_lineage);
+  }
+
+  // Lineage: the OR (DISTINCT) or AND (GROUP BY; `true` for no members) of
+  // the member lineages in member order.
+  VecFactor factor;
+  factor.sel.resize(num_groups);
+  for (uint32_t g = 0; g < num_groups; ++g) factor.sel[g] = g;
+  if (&plan == root_grouping_ && in.factors.size() == 1 && in.factors[0].table != nullptr) {
+    factor.group = MakeGroupFactor(in.factors[0], distinct, group_of, std::move(member_start),
+                                   std::move(members));
+  } else {
+    // Member lineages are interned in input order, the order materializing
+    // the input would intern them, so every shared node keeps the child
+    // order the row engine gives it.
+    arena_->Reserve(n);
+    std::vector<LineageRef> row_lineage(n);
+    for (uint32_t i = 0; i < n; ++i) row_lineage[i] = RowLineage(in, i);
+    factor.lineages.resize(num_groups);
+    std::vector<LineageRef> group_lineage;
+    for (uint32_t g = 0; g < num_groups; ++g) {
+      group_lineage.clear();
+      for (uint32_t m = member_start[g]; m < member_start[g + 1]; ++m) {
+        group_lineage.push_back(row_lineage[members[m]]);
+      }
+      factor.lineages[g] = distinct ? arena_->Or(group_lineage) : arena_->And(group_lineage);
     }
-    factor.sel[g] = g;
   }
   out.num_rows = num_groups;
   out.factors.push_back(std::move(factor));
@@ -858,22 +1035,23 @@ Value VecResult::BoxedValue(size_t col, size_t row) const {
   return c.owned[row];
 }
 
-bool VecResult::AllScanFactors() const {
-  if (factors.empty()) return false;
+bool VecResult::DefersLineage() const {
+  if (factors.size() == 1 && factors[0].group != nullptr) return true;
+  if (factors.empty() || factors.size() > kMaxDeferredScanFactors) return false;
   for (const VecFactor& f : factors) {
     if (f.table == nullptr) return false;
   }
   return true;
 }
 
-double VecResult::ScanRowConfidence(size_t row) const {
+double VecResult::DeferredConfidence(size_t row) const {
+  if (factors[0].group != nullptr) return factors[0].group->confidences[factors[0].sel[row]];
   // One leaf per factor; a repeated (table, row) leaf — a self-join row
   // matching itself — contributes once, exactly as the `And` builder's
   // first-seen dedupe makes it. Factor counts are tiny (one per scanned
   // table), so a fixed-size scratch plus a quadratic dedupe scan suffices.
-  constexpr size_t kMaxFactors = 8;
-  PCQE_DCHECK(factors.size() <= kMaxFactors);
-  uint64_t seen[kMaxFactors];
+  PCQE_DCHECK(factors.size() <= kMaxDeferredScanFactors);
+  uint64_t seen[kMaxDeferredScanFactors];
   size_t kept = 0;
   double p = 1.0;
   for (const VecFactor& f : factors) {
@@ -895,9 +1073,23 @@ double VecResult::ScanRowConfidence(size_t row) const {
   return p;
 }
 
+LineageRef GroupFactor::Box(LineageArena* arena, uint32_t g,
+                            std::vector<LineageRef>* scratch) const {
+  scratch->clear();
+  for (uint32_t m = member_start[g]; m < member_start[g + 1]; ++m) {
+    scratch->push_back(
+        arena->Var((static_cast<LineageVarId>(table_id) << 32) | members[m]));
+  }
+  return disjunctive ? arena->Or(*scratch) : arena->And(*scratch);
+}
+
 LineageRef VecResult::BoxRowLineage(LineageArena* arena, size_t row,
                                     std::vector<LineageRef>* scratch) const {
   PCQE_DCHECK(!factors.empty());
+  if (factors[0].group != nullptr) {
+    PCQE_DCHECK(factors.size() == 1);
+    return factors[0].group->Box(arena, factors[0].sel[row], scratch);
+  }
   auto leaf = [&](const VecFactor& f) {
     const uint32_t r = f.sel[row];
     if (f.table == nullptr) return f.lineages[r];
@@ -924,6 +1116,7 @@ void VectorExecutor::GatherRow(const VecResult& r, size_t row,
 }
 
 LineageRef VectorExecutor::FactorRef(const VecFactor& f, uint32_t row) {
+  PCQE_DCHECK(f.group == nullptr);
   if (f.table == nullptr) return f.lineages[row];
   std::vector<LineageRef>& cache = var_cache_[f.table->table_id()];
   if (cache.size() <= row) {

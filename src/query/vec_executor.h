@@ -22,18 +22,21 @@
 // same left-fold evaluation), same costs and released sets downstream.
 // Order-preserving operators replicate the row engine's emission order
 // exactly. DISTINCT and GROUP BY run natively: group ids are assigned in
-// first-seen order under the row engine's grouping equality
-// (`ValueVecHash`/`ValueVecEq`), aggregates fold through its
-// `AggAccumulator`, and each group's lineage is the OR (DISTINCT) or AND
-// (GROUP BY) of its members' row lineages in member order, interned in the
-// order materializing the input would intern them. Set operations still
-// materialize their inputs into the row engine's implementation
-// (query/exec_common.h).
+// first-seen order under the row engine's grouping equality (typed over
+// BIGINT key columns, `ValueVecHash`/`ValueVecEq` otherwise), aggregates
+// fold through its `AggAccumulator`, and each group's lineage is the OR
+// (DISTINCT) or AND (GROUP BY) of its members' row lineages in member order.
+// The grouping whose output reaches the plan root over one scanned table
+// keeps that lineage deferred as a `GroupFactor` (member rows plus each
+// group's folded confidence); every other grouping interns it in the order
+// materializing the input would. Set operations still materialize their
+// inputs into the row engine's implementation (query/exec_common.h).
 
 #ifndef PCQE_QUERY_VEC_EXECUTOR_H_
 #define PCQE_QUERY_VEC_EXECUTOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -47,6 +50,30 @@ namespace pcqe {
 
 struct ExecRow;
 
+/// \brief The deferred lineage of a DISTINCT or GROUP BY over one scanned
+/// table.
+///
+/// Group g's formula is the OR (DISTINCT) or AND (GROUP BY; `true` with no
+/// members) of the leaves of its member rows
+/// `members[member_start[g] .. member_start[g + 1])`, in member order, which
+/// is input order. `confidences[g]` is the double that formula evaluates to.
+/// The table is named by id, never by pointer: a grouped result owns its
+/// values, so nothing of it reads a table once the executor has returned.
+struct GroupFactor {
+  uint32_t table_id = 0;
+  /// True for DISTINCT (OR of the members), false for GROUP BY (AND).
+  bool disjunctive = false;
+  /// Offsets into `members`, one per group plus one.
+  std::vector<uint32_t> member_start;
+  /// Base-table rows, group after group.
+  std::vector<uint32_t> members;
+  std::vector<double> confidences;
+
+  /// Interns group `g`'s formula into `arena`: its leaves in member order,
+  /// then their OR / AND, the structure the eager grouping builds.
+  LineageRef Box(LineageArena* arena, uint32_t g, std::vector<LineageRef>* scratch) const;
+};
+
 /// \brief One factor of a factorized result: a lineage domain plus the
 /// selection vector mapping output rows into it.
 struct VecFactor {
@@ -54,8 +81,12 @@ struct VecFactor {
   /// domain row r is `Var((table_id << 32) | r)`, confidences come from the
   /// table's column chunks.
   const Table* table = nullptr;
-  /// Materialized factor when `table` is null: per-domain-row lineage refs
-  /// built by a grouping operator.
+  /// Group factor when non-null: domain rows are group ids, whose formulas
+  /// are interned only on demand. Only the output of the grouping that
+  /// reaches the plan root carries one.
+  std::unique_ptr<const GroupFactor> group;
+  /// Materialized factor when both are null: per-domain-row lineage refs
+  /// built by a grouping or set operator.
   std::vector<LineageRef> lineages;
   /// Output row i derives from domain row `sel[i]`. Always explicit
   /// (`sel.size() == result.num_rows`).
@@ -85,18 +116,25 @@ struct VecResult {
   /// the scanned tables must still be alive.
   Value BoxedValue(size_t col, size_t row) const;
 
-  /// True when every factor is a scan factor (then per-row lineage and
-  /// confidence are fully implied by the factorization: nothing needs to
-  /// exist in the arena for the row's confidence to be computable).
-  bool AllScanFactors() const;
+  /// Most scan factors a lineage-deferred result may have (the confidence
+  /// fold dedupes leaves in a fixed-size scratch).
+  static constexpr size_t kMaxDeferredScanFactors = 8;
 
-  /// Confidence of output row `row` without building any lineage node —
-  /// the factorized form of `VectorExecutor::ConfidenceOf(RowLineage(row))`:
-  /// one confidence leaf per factor, first-seen-deduped, left-folded in
-  /// factor order. Bit-identical to evaluating the interned formula because
-  /// the `And` builder flattens/dedupes the same leaves in the same order.
-  /// Requires `AllScanFactors()`.
-  double ScanRowConfidence(size_t row) const;
+  /// True when per-row lineage and confidence are implied by the
+  /// factorization alone: every factor is a scan factor (at most
+  /// `kMaxDeferredScanFactors` of them), or the only factor is a group
+  /// factor. Nothing then needs to exist in the arena for a row's confidence
+  /// to be known.
+  bool DefersLineage() const;
+
+  /// Confidence of output row `row` without building any lineage node, the
+  /// factorized form of `VectorExecutor::ConfidenceOf(RowLineage(row))`.
+  /// Scan factors contribute one leaf each, first-seen-deduped and
+  /// left-folded in factor order; this is bit-identical to evaluating the
+  /// interned formula because the `And` builder flattens and dedupes the same
+  /// leaves in the same order. A group factor gives its group's confidence.
+  /// Requires `DefersLineage()`.
+  double DeferredConfidence(size_t row) const;
 
   /// Interns the lineage formula of output row `row` into `arena`, with the
   /// exact structure `VectorExecutor::RowLineage` (and hence the row engine)
@@ -120,8 +158,8 @@ class VectorExecutor {
   explicit VectorExecutor(LineageArena* arena, OperatorProfiler* profiler = nullptr)
       : arena_(arena), profiler_(profiler) {}
 
-  /// Executes `plan` into a factorized result.
-  [[nodiscard]] Result<VecResult> Run(const PlanNode& plan);
+  /// Executes `plan` into a factorized result. Call once per executor.
+  [[nodiscard]] Result<VecResult> Execute(const PlanNode& plan);
 
   /// Boxed value of output column `col`, row `row` of `r`.
   Value ColumnValue(const VecResult& r, size_t col, size_t row) const;
@@ -140,7 +178,10 @@ class VectorExecutor {
   const VecExecStats& stats() const { return stats_; }
 
  private:
-  /// The unprofiled interpreter switch; `Run` wraps it with profiling.
+  /// Runs one plan node: `Dispatch` wrapped with profiling.
+  [[nodiscard]] Result<VecResult> Run(const PlanNode& plan);
+
+  /// The unprofiled interpreter switch.
   [[nodiscard]] Result<VecResult> Dispatch(const PlanNode& plan);
 
   [[nodiscard]] Result<VecResult> RunScan(const PlanNode& plan);
@@ -156,15 +197,18 @@ class VectorExecutor {
   [[nodiscard]] Result<VecResult> RunLimit(const PlanNode& plan);
   /// DISTINCT / GROUP BY, natively over the factorized input: hash group
   /// ids in first-seen order, aggregates folded per group through the row
-  /// engine's `AggAccumulator`, one materialized factor of per-group lineage.
-  /// No input row is materialized.
+  /// engine's `AggAccumulator`. The root grouping over one scan factor
+  /// returns a `GroupFactor` and interns nothing; any other grouping returns
+  /// one materialized factor of per-group lineage. No input row is
+  /// materialized.
   [[nodiscard]] Result<VecResult> RunHashGrouping(const PlanNode& plan);
   /// Set operations: materializes both inputs and delegates to the row
   /// engine's shared implementation (query/exec_common.h).
   [[nodiscard]] Result<VecResult> RunSetOp(const PlanNode& plan);
 
   /// Lineage leaf of factor `f`, domain row `row` (interned Var for scan
-  /// factors, stored ref for materialized factors).
+  /// factors, stored ref for materialized factors). Never called on a group
+  /// factor: only the root grouping makes one, and nothing above it interns.
   LineageRef FactorRef(const VecFactor& f, uint32_t row);
 
   /// Gathers output row `row` of `r` into `out` (resized to the column
@@ -192,6 +236,9 @@ class VectorExecutor {
   LineageArena* arena_;
   OperatorProfiler* profiler_;
   VecExecStats stats_;
+  /// The one grouping allowed to defer its lineage, found by `Execute`
+  /// (`RootGrouping` in vec_executor.cc says why), or null.
+  const PlanNode* root_grouping_ = nullptr;
   /// Scanned tables by table id, for Var → confidence resolution.
   std::unordered_map<uint32_t, const Table*> tables_by_id_;
   /// Interned Var refs per scanned table (kNullLineage = not yet created).

@@ -273,10 +273,9 @@ Result<QueryOutcome> QueryService::Execute(const SessionHandle& session,
       PCQE_ASSIGN_OR_RETURN(
           QueryResult fresh,
           engine_->Evaluate(request.sql, tb, profile.get(), push_beta));
-      // The cache shares one entry (and its lineage arena) across concurrent
-      // completions read-only; interning deferred lineage on demand would be
-      // a write. Box it here, while this thread still owns the result.
-      fresh.MaterializeLineage();
+      // Cached as evaluated, lineage still deferred: the entry is never
+      // written after this. A completion that needs formulas boxes them into
+      // its own copy's arena (QueryResult::MaterializeLineage).
       evaluated = cache_.Insert(key, version, std::move(fresh));
     }
 

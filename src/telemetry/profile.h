@@ -39,7 +39,7 @@ struct OperatorProfile {
     uint64_t rows_out = 0;  ///< rows (or factorized row count) this operator produced
     uint64_t chunks = 0;    ///< column chunks this operator itself scanned
     uint64_t fallback_rows = 0;   ///< rows routed through the row-at-a-time fallback
-    uint64_t scan_factors = 0;    ///< result factors still backed by a base table
+    uint64_t scan_factors = 0;    ///< result factors with deferred lineage (scan or group)
     uint64_t mat_factors = 0;     ///< result factors with materialized lineage
     uint64_t arena_nodes = 0;     ///< lineage nodes interned while this operator ran
     uint64_t pruned_chunks = 0;   ///< chunks skipped whole by β pushdown's zone map

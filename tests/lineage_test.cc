@@ -89,6 +89,30 @@ TEST(LineageArenaTest, DagSharingCountsAsMultipleOccurrences) {
   EXPECT_EQ(shared.size(), 2u);
 }
 
+// Variables and SharedVariables visit only the nodes `ref` reaches, yet list
+// ids in first-creation order (not child order), through shared subformulas
+// and past unrelated nodes interned in between.
+TEST(LineageArenaTest, VariablesKeepFirstCreationOrderOnSharedDag) {
+  LineageArena a;
+  LineageRef v30 = a.Var(30);
+  LineageRef v99 = a.Var(99);
+  LineageRef unrelated = a.And(v99, a.Var(98));
+  LineageRef v10 = a.Var(10);
+  LineageRef v20 = a.Var(20);
+  LineageRef shared = a.Or(v20, v10);  // child order differs from creation order
+  LineageRef left = a.And(shared, v30);
+  LineageRef v5 = a.Var(5);
+  LineageRef right = a.And(shared, v5);
+  LineageRef f = a.Or(left, right);
+  EXPECT_EQ(a.Variables(f), (std::vector<LineageVarId>{30, 10, 20, 5}));
+  EXPECT_EQ(a.Variables(shared), (std::vector<LineageVarId>{10, 20}));
+  EXPECT_EQ(a.Variables(v20), (std::vector<LineageVarId>{20}));
+  EXPECT_EQ(a.Variables(unrelated), (std::vector<LineageVarId>{99, 98}));
+  EXPECT_EQ(a.SharedVariables(f), (std::vector<LineageVarId>{10, 20}));
+  EXPECT_TRUE(a.SharedVariables(left).empty());
+  EXPECT_TRUE(a.Variables(a.True()).empty());
+}
+
 TEST(LineageArenaTest, ToStringRendersStructure) {
   LineageArena a;
   LineageRef f = a.And(a.Or(a.Var(2), a.Var(3)), a.Var(13));

@@ -2,7 +2,9 @@
 // ThreadSanitizer (scripts/analyze.sh builds it with -DPCQE_SANITIZE=thread):
 // many concurrent sessions hammer overlapping queries while a writer thread
 // interleaves AcceptProposal increments, exercising the reader-writer
-// catalog lock, the version-keyed cache and the counters simultaneously.
+// catalog lock, the version-keyed cache and the counters simultaneously; and
+// a cached grouped entry stays unwritten while hits, a shortfall solve and a
+// client box lineage around it.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "query/query_engine.h"
 #include "service/query_service.h"
 
 namespace pcqe {
@@ -186,6 +189,108 @@ TEST_F(ServiceStressTest, ConcurrentSessionsWithInterleavedWrites) {
   // attempt), so the ring's lifetime count is at least the served count.
   EXPECT_GE(service.audit()->total_recorded(), stats.served);
 
+  service.Shutdown();
+}
+
+// The service caches a grouped result with its lineage still deferred and
+// never writes it again. Concurrent hits, a session whose shortfall solve
+// boxes lineage, and a client materializing its served outcome each work on
+// their own copy: every released set matches the row engine's, and a hit
+// served afterwards is still deferred over an empty arena.
+TEST_F(ServiceStressTest, CachedGroupedEntryIsNeverWritten) {
+  Table* readings = *catalog_.CreateTable(
+      "Readings", Schema({{"site", DataType::kInt64, ""}, {"value", DataType::kDouble, ""}}));
+  for (int64_t i = 0; i < 18; ++i) {
+    // Six groups of three; the low-confidence groups fall below both β.
+    ASSERT_TRUE(readings
+                    ->Insert({Value::Int(i % 6), Value::Double(static_cast<double>(i))},
+                             0.1 + 0.045 * static_cast<double>(i), *MakeLinearCost(10.0))
+                    .ok());
+  }
+  const std::string sql =
+      "SELECT site, COUNT(*) AS n, SUM(value) AS total FROM readings GROUP BY site";
+
+  // Row-engine oracle per purpose (β 0.05 for analysis, 0.06 for investment).
+  QueryResult oracle = *RunQuery(catalog_, sql, nullptr, ExecutionMode::kRow);
+  std::vector<std::vector<size_t>> expected(2);
+  engine_->execution_mode = ExecutionMode::kRow;
+  for (int u = 0; u < 2; ++u) {
+    QueryOutcome row_outcome =
+        *engine_->Submit({sql, "user" + std::to_string(u), u == 0 ? "analysis" : "investment",
+                          0.0});
+    expected[static_cast<size_t>(u)] = row_outcome.released;
+  }
+  engine_->execution_mode = ExecutionMode::kVectorized;
+  ASSERT_LT(expected[0].size(), oracle.rows.size());  // something is blocked
+
+  QueryService service(engine_.get(),
+                       {.num_workers = 4, .queue_capacity = 256, .cache_capacity = 8});
+  auto matches_row_engine = [&](const QueryOutcome& outcome, int u) {
+    if (outcome.released != expected[static_cast<size_t>(u % 2)]) return false;
+    for (size_t i : outcome.released) {
+      if (outcome.intermediate.ValuesOfRow(i) != oracle.rows[i].values ||
+          outcome.intermediate.rows[i].confidence != oracle.rows[i].confidence) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  {
+    std::vector<std::jthread> clients;
+    // Readers: θ = 0, served from the one cached entry, never boxed.
+    for (int u = 0; u < 6; ++u) {
+      clients.emplace_back([&, u] {
+        SessionHandle session = *service.OpenSession(
+            "user" + std::to_string(u), u % 2 == 0 ? "analysis" : "investment");
+        for (int i = 0; i < 30; ++i) {
+          Result<QueryOutcome> outcome =
+              service.Submit(session, {.sql = sql, .required_fraction = 0.0});
+          ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+          EXPECT_TRUE(matches_row_engine(*outcome, u));
+          EXPECT_TRUE(outcome->intermediate.lineage_deferred());
+          EXPECT_EQ(outcome->intermediate.arena->size(), 0u);
+        }
+      });
+    }
+    // Shortfall: θ > 0 makes the solver box the blocked rows' lineage.
+    clients.emplace_back([&] {
+      SessionHandle session = *service.OpenSession("user6", "analysis");
+      for (int i = 0; i < 10; ++i) {
+        Result<QueryOutcome> outcome = service.Submit(
+            session, {.sql = sql, .required_fraction = 1.0, .solver = SolverKind::kGreedy});
+        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+        EXPECT_TRUE(matches_row_engine(*outcome, 0));
+        EXPECT_TRUE(outcome->proposal.needed);
+        EXPECT_FALSE(outcome->intermediate.lineage_deferred());
+        EXPECT_GT(outcome->intermediate.arena->size(), 0u);
+      }
+    });
+    // A client boxing the lineage of the outcome it was served.
+    clients.emplace_back([&] {
+      SessionHandle session = *service.OpenSession("user7", "investment");
+      for (int i = 0; i < 10; ++i) {
+        Result<QueryOutcome> outcome =
+            service.Submit(session, {.sql = sql, .required_fraction = 0.0});
+        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+        EXPECT_TRUE(matches_row_engine(*outcome, 1));
+        outcome->intermediate.MaterializeLineage();
+        for (size_t r = 0; r < oracle.rows.size(); ++r) {
+          EXPECT_EQ(outcome->intermediate.arena->ToString(outcome->intermediate.rows[r].lineage),
+                    oracle.arena->ToString(oracle.rows[r].lineage));
+        }
+      }
+    });
+  }  // jthreads join
+
+  uint64_t hits_before = service.stats().cache_hits;
+  SessionHandle late = *service.OpenSession("user8", "analysis");
+  QueryOutcome after = *service.Submit(late, {.sql = sql, .required_fraction = 0.0});
+  EXPECT_EQ(service.stats().cache_hits, hits_before + 1);
+  EXPECT_TRUE(after.intermediate.lineage_deferred());
+  EXPECT_EQ(after.intermediate.arena->size(), 0u);
+  EXPECT_TRUE(matches_row_engine(after, 0));
+  EXPECT_EQ(service.stats().failed, 0u);
   service.Shutdown();
 }
 

@@ -462,6 +462,51 @@ TEST_F(QueryServiceTest, AuditRingReconstructsEveryServedDecision) {
   EXPECT_EQ(all.front().confidence_version, catalog_.confidence_version());
 }
 
+// A blocked group row served with its lineage deferred is audited from the
+// group's payload: exactly its members, `table#row` in member order. Direct
+// submission records the same summary, whether or not a shortfall solve
+// boxed the lineage first.
+TEST_F(QueryServiceTest, AuditListsDeferredGroupMembersInMemberOrder) {
+  Table* metrics = *catalog_.CreateTable(
+      "metrics", Schema({{"site", DataType::kInt64, ""}, {"v", DataType::kDouble, ""}}));
+  const int64_t sites[] = {7, 3, 7, 3, 3, 7};
+  const double confidences[] = {0.3, 0.9, 0.2, 0.8, 0.95, 0.4};
+  for (size_t i = 0; i < 6; ++i) {
+    ASSERT_TRUE(metrics
+                    ->Insert({Value::Int(sites[i]), Value::Double(static_cast<double>(i))},
+                             confidences[i], *MakeLinearCost(10.0))
+                    .ok());
+  }
+  const std::string sql = "SELECT site, COUNT(*) AS n FROM metrics GROUP BY site";
+  const std::string members = "metrics#0 * metrics#2 * metrics#5";  // site 7, blocked
+
+  auto service = MakeService({.num_workers = 1});
+  auto blocked_summary = [&](const QueryOutcome& outcome) -> std::string {
+    std::optional<AuditRecord> record = service->audit()->Get(outcome.audit_id);
+    if (!record.has_value()) return "<no record>";
+    std::string summary;
+    for (const AuditRowDecision& row : record->rows) {
+      if (!row.released) summary += (summary.empty() ? "" : " | ") + row.lineage;
+    }
+    return summary;
+  };
+
+  SessionHandle sam = *service->OpenSession("sam", "analysis");
+  QueryOutcome served = *service->Submit(sam, {.sql = sql, .required_fraction = 0.0});
+  ASSERT_EQ(served.released, std::vector<size_t>{1});
+  EXPECT_TRUE(served.intermediate.lineage_deferred());
+  EXPECT_EQ(blocked_summary(served), members);
+
+  QueryOutcome direct = *engine_->Submit({sql, "sam", "analysis", 0.0});
+  EXPECT_TRUE(direct.intermediate.lineage_deferred());
+  EXPECT_EQ(blocked_summary(direct), members);
+
+  QueryOutcome shortfall = *engine_->Submit({sql, "sam", "analysis", 1.0});
+  EXPECT_TRUE(shortfall.proposal.needed);
+  EXPECT_FALSE(shortfall.intermediate.lineage_deferred());
+  EXPECT_EQ(blocked_summary(shortfall), members);
+}
+
 TEST_F(QueryServiceTest, ProfiledRequestBypassesCacheButPopulatesIt) {
   auto service = MakeService({.num_workers = 1});
   SessionHandle sam = *service->OpenSession("sam", "analysis");

@@ -6,11 +6,12 @@
 // engine pipeline.
 //
 // Three layers of checking:
-//  - a seeded sweep of 200 random catalog/query instances spanning scans,
+//  - a seeded sweep of 264 random catalog/query instances spanning scans,
 //    kernelized (negative literals included) and fallback filters,
 //    factorized joins (with duplicate keys), DISTINCT / GROUP BY with every
-//    aggregate and NULL, string, multi-column and expression keys, set ops,
-//    ORDER BY and LIMIT;
+//    aggregate and NULL, string, multi-column, BIGINT and expression keys,
+//    deferred and eagerly interned group lineage, set ops, ORDER BY and
+//    LIMIT;
 //  - chunk-topology edge cases: empty tables, singletons, and tables sized
 //    exactly at / one off the 2048-row chunk boundary, with selections that
 //    straddle it;
@@ -93,15 +94,18 @@ void BuildSweepCatalog(uint64_t seed, size_t num_orders, Catalog* catalog) {
 }
 
 // Query shapes in the sweep; every shape runs kInstancesPerShape times.
-constexpr uint64_t kNumShapes = 25;
+constexpr uint64_t kNumShapes = 33;
 constexpr uint64_t kInstancesPerShape = 8;
 
 // A query family covering every vectorized operator and both the typed
 // kernels and the row-at-a-time fallback (string predicates, computed
 // projections), plus negative literals, every aggregate, multi-column,
 // string and expression GROUP BY keys, NULL keys and arguments, a
-// two-column DISTINCT over a join and a DISTINCT over a self-join. Literals
-// derive from the seed so selectivities vary.
+// two-column DISTINCT over a join and a DISTINCT over a self-join. The last
+// eight shapes cover deferred group lineage: grouped results under ORDER BY,
+// LIMIT and HAVING, single-member groups, BIGINT keys with NULLs, and grouped
+// subqueries consumed by a join, a grouping or beside a UNION that interns
+// the same formulas. Literals derive from the seed so selectivities vary.
 std::string SweepQuery(uint64_t seed) {
   double amount = 100.0 + 60.0 * static_cast<double>(seed % 13);
   int64_t key = static_cast<int64_t>(seed % 9);
@@ -199,12 +203,58 @@ std::string SweepQuery(uint64_t seed) {
           "SELECT DISTINCT a.tag FROM orders AS a JOIN orders AS b "
           "ON a.customer = b.customer WHERE b.amount < %g",
           amount);
-    default:  // HAVING over aggregate columns, GROUP BY a join column
+    case 24:  // HAVING over aggregate columns, GROUP BY a join column
       return StrFormat(
           "SELECT c.region, MIN(o.amount) AS lo, AVG(o.delta) AS d FROM orders AS o "
           "JOIN customers AS c ON o.customer = c.customer "
           "GROUP BY c.region HAVING MIN(o.amount) < %g",
           amount);
+    case 25:  // ORDER BY + LIMIT over a deferred GROUP BY
+      return StrFormat(
+          "SELECT customer, COUNT(*) AS n, MAX(amount) AS top FROM orders "
+          "WHERE amount < %g GROUP BY customer ORDER BY n DESC, customer LIMIT 5",
+          amount);
+    case 26:  // HAVING on an aggregate outside the select list
+      return StrFormat(
+          "SELECT score, SUM(amount) AS s FROM orders WHERE amount < %g "
+          "GROUP BY score HAVING COUNT(*) > 1",
+          amount);
+    case 27:  // single-member DISTINCT groups over two BIGINT keys
+      return StrFormat("SELECT DISTINCT id, customer FROM orders WHERE amount > %g",
+                       amount);
+    case 28:  // a grouped subquery joined to a table
+      return StrFormat(
+          "SELECT g.customer, g.n, o.id FROM "
+          "(SELECT customer, COUNT(*) AS n FROM orders GROUP BY customer) AS g "
+          "JOIN orders AS o ON g.customer = o.customer WHERE o.amount < %g",
+          amount);
+    case 29:  // a grouped subquery joined to itself
+      return StrFormat(
+          "SELECT a.customer, b.customer FROM "
+          "(SELECT DISTINCT customer FROM orders WHERE amount < %g) AS a JOIN "
+          "(SELECT DISTINCT customer FROM orders WHERE amount < %g) AS b "
+          "ON a.customer = b.customer",
+          amount, amount);
+    case 30:  // GROUP BY over a grouped subquery
+      return "SELECT n, COUNT(*) AS k, SUM(total) AS s FROM "
+             "(SELECT customer, COUNT(*) AS n, SUM(amount) AS total FROM orders "
+             "GROUP BY customer) AS g GROUP BY n";
+    case 31:  // one- and two-column BIGINT keys with NULLs
+      return seed % 2 == 0
+                 ? StrFormat("SELECT DISTINCT score FROM orders WHERE delta > -%g", neg)
+                 : StrFormat(
+                       "SELECT customer, score, COUNT(*) AS n, MIN(delta) AS lo FROM orders "
+                       "WHERE amount < %g GROUP BY customer, score",
+                       amount);
+    default:  // a DISTINCT subquery beside a UNION whose groups have the same
+              // members in another order: the DISTINCT's formulas must be
+              // interned first, as the row engine interns them
+      return StrFormat(
+          "SELECT x.customer, y.customer FROM (SELECT DISTINCT customer FROM orders) AS x "
+          "JOIN (SELECT customer FROM orders WHERE amount >= %g UNION "
+          "SELECT customer FROM orders WHERE amount < %g) AS y "
+          "ON x.customer = y.customer",
+          amount, amount);
   }
 }
 
@@ -359,9 +409,10 @@ TEST(VectorizedDifferential, DeferredValuesBoxOnDemand) {
   }
 }
 
-// Fully deferred results (pure scan/filter/join/sort/limit pipelines) build
-// no lineage nodes at all — confidences fold nodelessly over the factorized
-// form — and intern the row engine's exact formulas on demand.
+// Fully deferred results (pure scan/filter/join/sort/limit pipelines, and a
+// DISTINCT or GROUP BY over one table under them) build no lineage nodes at
+// all — confidences fold nodelessly over the factorized form — and intern
+// the row engine's exact formulas on demand.
 TEST(VectorizedDifferential, DeferredLineageBoxesRowEngineFormulas) {
   Catalog catalog;
   BuildSweepCatalog(/*seed=*/11, /*num_orders=*/300, &catalog);
@@ -372,7 +423,14 @@ TEST(VectorizedDifferential, DeferredLineageBoxesRowEngineFormulas) {
            "JOIN customers AS c ON o.customer = c.customer",
            "SELECT o.id FROM orders AS o "
            "JOIN customers AS c ON o.customer = c.customer "
-           "WHERE o.amount > 100.0 ORDER BY o.id LIMIT 50"}) {
+           "WHERE o.amount > 100.0 ORDER BY o.id LIMIT 50",
+           "SELECT DISTINCT customer FROM orders",
+           "SELECT DISTINCT score, tag FROM orders WHERE amount < 600.0",
+           "SELECT customer, COUNT(*) AS n, SUM(amount) AS total FROM orders "
+           "WHERE amount < 700.0 GROUP BY customer",
+           "SELECT score, AVG(delta) AS d FROM orders GROUP BY score "
+           "HAVING COUNT(*) > 2 ORDER BY d LIMIT 4",
+           "SELECT COUNT(*) FROM orders WHERE amount < 0.0"}) {
     SCOPED_TRACE(::testing::Message() << "query: " << sql);
     QueryResult row = *RunQuery(catalog, sql, nullptr, ExecutionMode::kRow);
     QueryResult deferred = *RunQuery(catalog, sql, nullptr,
@@ -385,8 +443,14 @@ TEST(VectorizedDifferential, DeferredLineageBoxesRowEngineFormulas) {
       EXPECT_EQ(deferred.rows[i].lineage, kNullLineage);
       EXPECT_EQ(deferred.rows[i].confidence, row.rows[i].confidence);
     }
+    // Boxing goes to a fresh arena: copies of a deferred result (the
+    // service caches one and completes copies) never write into a shared one.
+    QueryResult copy = deferred;
     deferred.MaterializeLineage();
     EXPECT_FALSE(deferred.lineage_deferred());
+    EXPECT_NE(deferred.arena, copy.arena);
+    EXPECT_TRUE(copy.lineage_deferred());
+    EXPECT_EQ(copy.arena->size(), 0u);
     ConfidenceMap probs = *SnapshotConfidences(catalog, deferred);
     for (size_t i = 0; i < row.rows.size(); ++i) {
       // Same formula as the row engine, and re-evaluating it must land on
@@ -397,12 +461,20 @@ TEST(VectorizedDifferential, DeferredLineageBoxesRowEngineFormulas) {
                 deferred.rows[i].confidence);
     }
   }
-  // Grouped pipelines carry per-group formulas already; only values defer.
-  QueryResult grouped = *RunQuery(catalog, "SELECT DISTINCT customer FROM orders",
-                                  nullptr, ExecutionMode::kVectorized,
-                                  /*materialize_values=*/false);
-  EXPECT_TRUE(grouped.values_deferred());
-  EXPECT_FALSE(grouped.lineage_deferred());
+  // A grouping whose formulas an operator above it consumes interns them
+  // itself, in the row engine's order; so does one over more than one factor.
+  for (const char* sql :
+       {"SELECT c.customer, c.region FROM (SELECT DISTINCT customer FROM orders) AS a "
+        "JOIN customers AS c ON a.customer = c.customer",
+        "SELECT DISTINCT c.region FROM orders AS o "
+        "JOIN customers AS c ON o.customer = c.customer"}) {
+    SCOPED_TRACE(::testing::Message() << "query: " << sql);
+    QueryResult grouped = *RunQuery(catalog, sql, nullptr, ExecutionMode::kVectorized,
+                                    /*materialize_values=*/false);
+    EXPECT_TRUE(grouped.values_deferred());
+    EXPECT_FALSE(grouped.lineage_deferred());
+    EXPECT_GT(grouped.arena->size(), 0u);
+  }
 }
 
 // The vectorized scan must report chunk/batch telemetry.
@@ -431,8 +503,8 @@ TEST(VectorizedDifferential, StatsCountChunksAndGroups) {
 // every β. Solver costs are a function of the blocked rows' lineage, so any
 // drift in lineage or confidence surfaces here as a cost mismatch.
 TEST(VectorizedDifferential, EnginePipelineParityAcrossBeta) {
-  // One grouped query (eager per-group lineage) and one pure pipeline (fully
-  // deferred lineage, interned only when the solver needs the blocked rows).
+  // One grouped query and one pure pipeline; both defer their lineage and
+  // intern it only when the solver needs the blocked rows.
   for (const char* sql : {"SELECT DISTINCT customer FROM orders WHERE amount < 600.0",
                           "SELECT id, amount FROM orders WHERE amount < 600.0"}) {
   for (double beta : {0.02, 0.10, 0.30, 0.60, 0.90}) {

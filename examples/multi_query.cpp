@@ -74,8 +74,8 @@ int main() {
     std::printf("\nshared plan (%s): %zu increments, total cost %.1f\n",
                 shared.algorithm.c_str(), shared.actions.size(), shared.total_cost);
     for (const IncrementAction& a : shared.actions) {
-      const Tuple* t = *catalog.FindTuple(a.base_tuple);
-      std::printf("  %-28s %.2f -> %.2f (cost %.1f)\n", t->ToString().c_str(), a.from,
+      Tuple t = *catalog.FindTuple(a.base_tuple);
+      std::printf("  %-28s %.2f -> %.2f (cost %.1f)\n", t.ToString().c_str(), a.from,
                   a.to, a.cost);
     }
 

@@ -70,8 +70,8 @@ int main() {
   std::printf("revised vendor trust: alpha=%.3f beta=%.3f gamma=%.3f\n",
               assignment.trust.agent_trust[alpha], assignment.trust.agent_trust[beta],
               assignment.trust.agent_trust[gamma]);
-  for (const Tuple& t : revenue->tuples()) {
-    std::printf("  %s\n", t.ToString().c_str());
+  for (size_t row = 0; row < revenue->num_tuples(); ++row) {
+    std::printf("  %s\n", revenue->tuple(row).ToString().c_str());
   }
   std::printf("(the gamma_wire BlueSky outlier ends well below its peers)\n\n");
 

@@ -59,8 +59,12 @@ int main() {
   BaseTupleId id13 = *info->Insert({Value::String("BlueSky"), Value::Double(1.2e5)}, 0.1,
                                    *MakeLinearCost(10000.0));
 
-  for (const Tuple& t : proposal->tuples()) std::printf("Proposal    %s\n", t.ToString().c_str());
-  for (const Tuple& t : info->tuples()) std::printf("CompanyInfo %s\n", t.ToString().c_str());
+  for (size_t row = 0; row < proposal->num_tuples(); ++row) {
+    std::printf("Proposal    %s\n", proposal->tuple(row).ToString().c_str());
+  }
+  for (size_t row = 0; row < info->num_tuples(); ++row) {
+    std::printf("CompanyInfo %s\n", info->tuple(row).ToString().c_str());
+  }
 
   Banner("Policies P1 and P2");
   RoleGraph roles;
@@ -113,7 +117,7 @@ int main() {
   QueryOutcome after = *engine.Submit({kCandidateQuery, "mary", "investment", 1.0});
   std::printf("released %zu row(s):\n%s", after.released.size(),
               after.ReleasedTable().c_str());
-  std::printf("improvement audit log: %zu change(s), total spend %.1f\n",
-              engine.improver().log().size(), engine.improver().total_cost_spent());
+  std::printf("accepted %zu change(s), total spend %.1f\n", mary.proposal.actions.size(),
+              engine.improver().total_cost_spent());
   return 0;
 }

@@ -159,6 +159,41 @@ if grep -q 'ssn-444-55-6666' "$OBS_DIR/audit.json"; then
   exit 1
 fi
 
+# Export smoke: `.save` (CSV export) and `.savedb` (snapshot) write straight
+# from the column chunks. A snapshot reopened in a fresh shell must export
+# and snapshot to the same bytes, NULLs, quoted fields and 17-digit negative
+# doubles included.
+echo "== shell: export round-trip smoke"
+EXPORT_DIR=$(mktemp -d)
+cat > "$EXPORT_DIR/in.csv" <<'EOF'
+id,label,reading,ok,conf
+1,"north, ""A""",-0.12345678901234566,true,0.9
+2,,-1234.5678901234567,,0.30000000000000004
+3,plain,,false,0.5
+EOF
+mkdir -p "$EXPORT_DIR/db1" "$EXPORT_DIR/db2"
+FIRST_OUT=$(printf '.load t %s conf\n.save t %s\n.savedb %s\n.quit\n' \
+  "$EXPORT_DIR/in.csv" "$EXPORT_DIR/first.csv" "$EXPORT_DIR/db1" | build/tools/pcqe_shell)
+SECOND_OUT=$(printf '.opendb %s\n.save t %s\n.savedb %s\n.quit\n' \
+  "$EXPORT_DIR/db1" "$EXPORT_DIR/second.csv" "$EXPORT_DIR/db2" | build/tools/pcqe_shell)
+for expected in "loaded 3 rows" "saved $EXPORT_DIR/first.csv" "database saved"; do
+  echo "$FIRST_OUT" | grep -qF "$expected" \
+    || { echo "export smoke failed: no '$expected'"; echo "$FIRST_OUT"; exit 1; }
+done
+for expected in "database loaded" "saved $EXPORT_DIR/second.csv" "database saved"; do
+  echo "$SECOND_OUT" | grep -qF "$expected" \
+    || { echo "export smoke failed: no '$expected'"; echo "$SECOND_OUT"; exit 1; }
+done
+grep -qF '"north, ""A"""' "$EXPORT_DIR/first.csv" \
+  || { echo "export smoke failed: quoted field lost"; cat "$EXPORT_DIR/first.csv"; exit 1; }
+grep -qF -- '-1234.5678901234567,,' "$EXPORT_DIR/db1/t.csv" \
+  || { echo "export smoke failed: snapshot lost a digit or a NULL"; cat "$EXPORT_DIR/db1/t.csv"; exit 1; }
+cmp "$EXPORT_DIR/first.csv" "$EXPORT_DIR/second.csv" \
+  || { echo "export smoke failed: .save differs after .opendb"; exit 1; }
+diff -r "$EXPORT_DIR/db1" "$EXPORT_DIR/db2" \
+  || { echo "export smoke failed: .savedb differs after .opendb"; exit 1; }
+rm -rf "$EXPORT_DIR"
+
 for bench in build/bench/*; do
   [[ -f "$bench" && -x "$bench" ]] || continue
   echo "== bench: $bench"

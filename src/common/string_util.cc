@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace pcqe {
@@ -67,13 +68,48 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 }
 
 std::string FormatDouble(double v, int max_decimals) {
-  std::string out = StrFormat("%.*f", max_decimals, v);
-  if (out.find('.') != std::string::npos) {
-    size_t last = out.find_last_not_of('0');
-    if (out[last] == '.') --last;
-    out.erase(last + 1);
-  }
+  std::string out;
+  AppendFormattedDouble(&out, v, max_decimals);
   return out;
+}
+
+// std::to_chars with an explicit format and precision prints exactly what
+// printf prints for the matching conversion, without a locale or a
+// temporary string.
+void AppendFormattedDouble(std::string* out, double v, int max_decimals) {
+  char buf[512];  // any double at up to ~190 decimals
+  std::string fallback;
+  std::string_view text;
+  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed,
+                                 max_decimals);
+  if (ec == std::errc()) {
+    text = std::string_view(buf, static_cast<size_t>(end - buf));
+  } else {
+    fallback = StrFormat("%.*f", max_decimals, v);
+    text = fallback;
+  }
+  if (text.find('.') != std::string_view::npos) {
+    size_t last = text.find_last_not_of('0');
+    if (text[last] == '.') --last;
+    text = text.substr(0, last + 1);
+  }
+  out->append(text);
+}
+
+void AppendDouble(std::string* out, double v, int significant_digits) {
+  char buf[64];  // "%.17g" needs at most 24
+  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                                 significant_digits);
+  if (ec == std::errc()) {
+    out->append(buf, end);
+  } else {
+    *out += StrFormat("%.*g", significant_digits, v);
+  }
+}
+
+void AppendInt(std::string* out, int64_t v) {
+  char buf[24];  // 19 digits and a sign always fit
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 std::string JsonEscape(std::string_view s) {

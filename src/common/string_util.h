@@ -5,6 +5,7 @@
 #define PCQE_COMMON_STRING_UTIL_H_
 
 #include <cstdarg>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +36,16 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// Formats a double compactly for human-facing tables: trims trailing zeros
 /// ("0.0580" -> "0.058", "3.0" -> "3").
 std::string FormatDouble(double v, int max_decimals = 6);
+
+/// Appends `FormatDouble(v, max_decimals)` to `out` without a temporary.
+void AppendFormattedDouble(std::string* out, double v, int max_decimals = 6);
+
+/// Appends `v` as printf's `%.<significant_digits>g` prints it, byte for
+/// byte. 17 digits round-trip every double through `strtod`.
+void AppendDouble(std::string* out, double v, int significant_digits);
+
+/// Appends `v` in decimal, as printf's `%lld` prints it.
+void AppendInt(std::string* out, int64_t v);
 
 /// Escapes `s` for inclusion inside a JSON string literal: quotes,
 /// backslashes and control characters (the latter as `\u00XX`).

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <initializer_list>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -25,12 +27,32 @@ std::string CostFamilyToString(CostFamily family) {
 
 namespace {
 
+/// Appends "family(k1=v1, k2=v2)" with each value printed to `digits`
+/// significant digits.
+void AppendFamily(std::string* out, const char* family,
+                  std::initializer_list<std::pair<const char*, double>> params,
+                  int digits) {
+  *out += family;
+  *out += '(';
+  const char* sep = "";
+  for (const auto& [name, value] : params) {
+    *out += sep;
+    *out += name;
+    *out += '=';
+    AppendDouble(out, value, digits);
+    sep = ", ";
+  }
+  *out += ')';
+}
+
 class LinearCost final : public CostFunction {
  public:
   explicit LinearCost(double a) : a_(a) {}
   CostFamily family() const override { return CostFamily::kLinear; }
   double Level(double p) const override { return a_ * p; }
-  std::string ToString() const override { return StrFormat("linear(a=%g)", a_); }
+  void AppendDescription(std::string* out, int digits) const override {
+    AppendFamily(out, "linear", {{"a", a_}}, digits);
+  }
 
  private:
   double a_;
@@ -41,8 +63,8 @@ class PolynomialCost final : public CostFunction {
   PolynomialCost(double a, double degree) : a_(a), degree_(degree) {}
   CostFamily family() const override { return CostFamily::kPolynomial; }
   double Level(double p) const override { return a_ * std::pow(p, degree_); }
-  std::string ToString() const override {
-    return StrFormat("polynomial(a=%g, d=%g)", a_, degree_);
+  void AppendDescription(std::string* out, int digits) const override {
+    AppendFamily(out, "polynomial", {{"a", a_}, {"d", degree_}}, digits);
   }
 
  private:
@@ -55,8 +77,8 @@ class ExponentialCost final : public CostFunction {
   ExponentialCost(double a, double b) : a_(a), b_(b) {}
   CostFamily family() const override { return CostFamily::kExponential; }
   double Level(double p) const override { return a_ * std::exp(b_ * p); }
-  std::string ToString() const override {
-    return StrFormat("exponential(a=%g, b=%g)", a_, b_);
+  void AppendDescription(std::string* out, int digits) const override {
+    AppendFamily(out, "exponential", {{"a", a_}, {"b", b_}}, digits);
   }
 
  private:
@@ -69,8 +91,8 @@ class LogarithmicCost final : public CostFunction {
   LogarithmicCost(double a, double b) : a_(a), b_(b) {}
   CostFamily family() const override { return CostFamily::kLogarithmic; }
   double Level(double p) const override { return a_ * std::log1p(b_ * p); }
-  std::string ToString() const override {
-    return StrFormat("logarithmic(a=%g, b=%g)", a_, b_);
+  void AppendDescription(std::string* out, int digits) const override {
+    AppendFamily(out, "logarithmic", {{"a", a_}, {"b", b_}}, digits);
   }
 
  private:
@@ -86,8 +108,8 @@ class StepCost final : public CostFunction {
     // Tiny slack so p = k*delta counts exactly k completed actions.
     return a_ * std::ceil(p / delta_ - 1e-12);
   }
-  std::string ToString() const override {
-    return StrFormat("step(a=%g, delta=%g)", a_, delta_);
+  void AppendDescription(std::string* out, int digits) const override {
+    AppendFamily(out, "step", {{"a", a_}, {"delta", delta_}}, digits);
   }
 
  private:
@@ -96,6 +118,12 @@ class StepCost final : public CostFunction {
 };
 
 }  // namespace
+
+std::string CostFunction::ToString() const {
+  std::string out;
+  AppendDescription(&out, 6);
+  return out;
+}
 
 Result<CostFunctionPtr> MakeLinearCost(double a) {
   if (!(a > 0.0)) return Status::InvalidArgument("linear cost requires a > 0");

@@ -63,8 +63,15 @@ class CostFunction {
     return Level(to) - Level(from);
   }
 
-  /// Human-readable description, e.g. "exponential(a=2, b=3)".
-  virtual std::string ToString() const = 0;
+  /// Human-readable description, e.g. "exponential(a=2, b=3)", with each
+  /// parameter printed like printf's `%g` (6 significant digits).
+  std::string ToString() const;
+
+  /// Appends the description to `out` with each parameter printed to
+  /// `significant_digits` digits, like printf's `%.<n>g`. At 17 digits
+  /// `ParseCostFunction` reads back the exact parameters, so snapshots
+  /// persist that form.
+  virtual void AppendDescription(std::string* out, int significant_digits) const = 0;
 };
 
 /// Shared immutable handle; tuples referencing the same acquisition channel
@@ -97,8 +104,9 @@ using CostFunctionPtr = std::shared_ptr<const CostFunction>;
 /// unit slope, so "cost" degenerates to "total confidence raised".
 CostFunctionPtr DefaultCostFunction();
 
-/// \brief Parses the textual form produced by `CostFunction::ToString`
-/// ("linear(a=2)", "exponential(a=2, b=3)", ...), for persistence.
+/// \brief Parses the textual form produced by `CostFunction::ToString` or
+/// `AppendDescription` ("linear(a=2)", "exponential(a=2, b=3)", ...), for
+/// persistence.
 /// Returns `kParseError` on malformed input and `kInvalidArgument` for
 /// out-of-range parameters.
 [[nodiscard]] Result<CostFunctionPtr> ParseCostFunction(const std::string& text);

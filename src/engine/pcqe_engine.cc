@@ -4,6 +4,10 @@
 #include <cmath>
 #include <set>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/fault_injection.h"
 #include "common/string_util.h"
 #include "query/parser.h"
@@ -16,6 +20,44 @@
 #include "strategy/heuristic.h"
 
 namespace pcqe {
+
+namespace {
+
+/// Fixes glibc malloc's mmap and trim thresholds, once per process.
+///
+/// A cold miss allocates a few buffers of 128 KiB or more: the scan's
+/// identity selection vector, the prune and filter candidate vectors, the
+/// grouping keys, and the result and its copy into `Complete`. Under
+/// glibc's default, dynamic thresholds each such buffer is mmapped and
+/// zero-faulted afresh on every request, unless the process happened to
+/// free a multi-MB block earlier, which raises both thresholds. Request
+/// latency then depends on allocation history. Measured on pcqe_bench
+/// `cold_mix` (4 workers, 4 cores) with glibc's defaults: ~20x the minor
+/// faults, ~6x the sys time and ~1.5x the tail latency of these values.
+/// 32 MiB is glibc's largest mmap threshold; the trim threshold sits above
+/// it so freed buffers stay in the heap for the next request.
+void FixAllocatorThresholds() {
+#if defined(__GLIBC__)
+  static const bool kFixed = [] {
+    constexpr int kMmapThresholdBytes = 32 << 20;
+    constexpr int kTrimThresholdBytes = 64 << 20;
+    mallopt(M_MMAP_THRESHOLD, kMmapThresholdBytes);
+    mallopt(M_TRIM_THRESHOLD, kTrimThresholdBytes);
+    return true;
+  }();
+  (void)kFixed;
+#endif
+}
+
+}  // namespace
+
+PcqeEngine::PcqeEngine(Catalog* catalog, RoleGraph roles, PolicyStore policies)
+    : catalog_(catalog),
+      roles_(std::move(roles)),
+      policies_(std::move(policies)),
+      improver_(catalog) {
+  FixAllocatorThresholds();
+}
 
 std::string QueryOutcome::ReleasedTable(size_t max_rows) const {
   QueryResult view;
@@ -439,12 +481,12 @@ Result<StrategyProposal> PcqeEngine::FindStrategy(
   std::vector<BaseTupleSpec> specs;
   specs.reserve(var_ids.size());
   for (LineageVarId id : var_ids) {
-    PCQE_ASSIGN_OR_RETURN(const Tuple* t, catalog_->FindTuple(id));
+    PCQE_ASSIGN_OR_RETURN(Tuple t, catalog_->FindTuple(id));
     BaseTupleSpec spec;
     spec.id = id;
-    spec.confidence = t->confidence();
-    spec.max_confidence = t->max_confidence();
-    spec.cost = t->cost_function();
+    spec.confidence = t.confidence();
+    spec.max_confidence = t.max_confidence();
+    spec.cost = t.cost_function();
     specs.push_back(std::move(spec));
   }
 
@@ -572,9 +614,9 @@ Status PcqeEngine::AcceptProposal(const StrategyProposal& proposal) {
     std::vector<WalAction> logged;
     logged.reserve(proposal.actions.size());
     for (const IncrementAction& a : proposal.actions) {
-      PCQE_ASSIGN_OR_RETURN(const Tuple* t, catalog_->FindTuple(a.base_tuple));
-      logged.push_back({a.base_tuple, t->confidence(), a.to,
-                        t->cost_function()->Increment(t->confidence(), a.to)});
+      PCQE_ASSIGN_OR_RETURN(Tuple t, catalog_->FindTuple(a.base_tuple));
+      logged.push_back({a.base_tuple, t.confidence(), a.to,
+                        t.cost_function()->Increment(t.confidence(), a.to)});
     }
     PCQE_RETURN_NOT_OK(storage_->LogAccept(catalog_->confidence_version(),
                                            logged));

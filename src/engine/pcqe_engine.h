@@ -150,12 +150,10 @@ struct QueryOutcome {
 class PcqeEngine {
  public:
   /// The engine borrows the catalog (it must outlive the engine) and owns
-  /// the RBAC and policy configuration.
-  PcqeEngine(Catalog* catalog, RoleGraph roles, PolicyStore policies)
-      : catalog_(catalog),
-        roles_(std::move(roles)),
-        policies_(std::move(policies)),
-        improver_(catalog) {}
+  /// the RBAC and policy configuration. The first engine a process builds
+  /// also fixes the allocator's thresholds (see pcqe_engine.cc), so the
+  /// service and direct `Submit` callers serve under the same policy.
+  PcqeEngine(Catalog* catalog, RoleGraph roles, PolicyStore policies);
 
   /// Points the engine at a metrics registry and trace ring (both borrowed;
   /// they must outlive the engine). Registers the engine's counters on the

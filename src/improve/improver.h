@@ -14,19 +14,11 @@
 
 namespace pcqe {
 
-/// \brief One committed confidence change, for auditing.
-struct ImprovementRecord {
-  BaseTupleId tuple = 0;
-  double from = 0.0;
-  double to = 0.0;
-  double cost = 0.0;
-};
-
 /// \brief Applies increment actions to the catalog, atomically per call.
 ///
 /// In the paper this component stands for the real-world acquisition step
 /// (buying a report, running an audit); here it updates stored confidences
-/// and keeps an audit log of every change and its cost. Apply is
+/// and totals their cost (the WAL and the audit ring record each accept). Apply is
 /// all-or-nothing: every action is validated (tuple exists, target within
 /// (current, ceiling]) before any confidence is written.
 class QualityImprover {
@@ -48,12 +40,8 @@ class QualityImprover {
   /// Total cost committed through this improver.
   double total_cost_spent() const { return total_cost_; }
 
-  /// Every committed change, in order.
-  const std::vector<ImprovementRecord>& log() const { return log_; }
-
  private:
   Catalog* catalog_;
-  std::vector<ImprovementRecord> log_;
   double total_cost_ = 0.0;
 };
 

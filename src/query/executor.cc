@@ -84,7 +84,8 @@ Result<std::vector<ExecRow>> Executor::RunScan(const PlanNode& plan) {
   std::vector<ExecRow> out;
   out.reserve(plan.table->num_tuples());
   arena_->Reserve(plan.table->num_tuples());
-  for (const Tuple& t : plan.table->tuples()) {
+  for (size_t row = 0; row < plan.table->num_tuples(); ++row) {
+    Tuple t = plan.table->tuple(row);
     out.push_back({t.values(), arena_->Var(t.id())});
   }
   return out;

@@ -55,8 +55,8 @@ class Catalog {
   /// Names of all tables in creation order.
   std::vector<std::string> TableNames() const;
 
-  /// Routes a catalog-wide tuple id to its tuple.
-  [[nodiscard]] Result<const Tuple*> FindTuple(BaseTupleId id) const;
+  /// Routes a catalog-wide tuple id to a view of its tuple.
+  [[nodiscard]] Result<Tuple> FindTuple(BaseTupleId id) const;
 
   /// Sets the confidence of the identified tuple (improvement component).
   /// Every successful write bumps `confidence_version()`.

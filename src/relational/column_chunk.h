@@ -1,14 +1,15 @@
 // Copyright (c) PCQE contributors.
-// Column-chunk storage: the typed, batched mirror of a table's tuples that
-// the vectorized execution core scans (see query/vec_executor.h).
+// Column-chunk storage: the one store of a table's tuples. Both executors,
+// the writers and every annotation lookup read it (`Tuple` is a view over
+// one row of it; see relational/tuple.h).
 //
 // Layout follows the in-memory column-chunk design of modern factorized
 // engines: a table is a sequence of fixed-capacity chunks; each chunk holds
-// one typed value vector per column plus a per-chunk confidence vector
-// aligned row-for-row with the values. Tuple ids are implicit —
-// `(table_id << 32) | row` exactly as relational/table.h assigns them — so
-// a chunk never stores ids, and a scan's factorized lineage column is just
-// the row range.
+// one typed value vector per column plus the per-row annotations
+// (confidence, ceiling, cost handle) aligned row-for-row with the values.
+// Tuple ids are implicit — `(table_id << 32) | row` exactly as
+// relational/table.h assigns them — so a chunk never stores ids, and a
+// scan's factorized lineage column is just the row range.
 
 #ifndef PCQE_RELATIONAL_COLUMN_CHUNK_H_
 #define PCQE_RELATIONAL_COLUMN_CHUNK_H_
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "cost/cost_function.h"
 #include "relational/schema.h"
 #include "relational/value.h"
 
@@ -35,8 +37,8 @@ static_assert((size_t{1} << kColumnChunkShift) == kColumnChunkCapacity,
 /// \brief One column × up to `kColumnChunkCapacity` rows of typed storage.
 ///
 /// Non-null values of a column always carry the column's declared type
-/// (Table::Insert normalizes widened integers), so one typed array per chunk
-/// suffices; NULLs occupy a zeroed slot and are tracked by a lazily
+/// (`Append` widens BIGINT values into a DOUBLE column), so one typed array
+/// per chunk suffices; NULLs occupy a zeroed slot and are tracked by a lazily
 /// allocated null mask (absent while the chunk holds no NULLs — the common
 /// case scans branch-free).
 class ColumnChunk {
@@ -82,12 +84,12 @@ class ColumnChunk {
   std::vector<std::string> strings_;
 };
 
-/// \brief The columnar mirror of one table: chunked typed columns plus
-/// per-chunk confidence vectors.
+/// \brief The storage of one table: chunked typed columns plus per-chunk
+/// confidence, ceiling and cost-handle vectors.
 ///
-/// Maintained incrementally by `Table::Insert` / `Table::SetConfidence`, so
-/// a scan never transposes: it borrows these arrays zero-copy. Row indices
-/// are table row indices (the low 32 bits of the `BaseTupleId`).
+/// Written only by `Table::Insert` / `Table::SetConfidence` (which validate
+/// first), so a scan never transposes: it borrows these arrays zero-copy.
+/// Row indices are table row indices (the low 32 bits of the `BaseTupleId`).
 class TableColumnData {
  public:
   TableColumnData() = default;
@@ -118,6 +120,16 @@ class TableColumnData {
     return chunks_[ChunkOf(row)]->confidences[OffsetOf(row)];
   }
 
+  /// Confidence ceiling of table row `row`.
+  double max_confidence(size_t row) const {
+    return chunks_[ChunkOf(row)]->max_confidences[OffsetOf(row)];
+  }
+
+  /// Cost function of table row `row`; never null.
+  const CostFunctionPtr& cost_function(size_t row) const {
+    return chunks_[ChunkOf(row)]->costs[OffsetOf(row)];
+  }
+
   /// Boxed value of (`col`, table row `row`).
   Value value(size_t col, size_t row) const {
     return chunks_[ChunkOf(row)]->cols[col].ValueAt(OffsetOf(row));
@@ -128,10 +140,13 @@ class TableColumnData {
     return chunks_[ChunkOf(row)]->cols[col].IsNull(OffsetOf(row));
   }
 
-  /// Appends one row (called by `Table::Insert` after validation).
-  void AppendRow(const std::vector<Value>& values, double confidence);
+  /// Appends one row (called by `Table::Insert` after validation; `cost`
+  /// is non-null).
+  void AppendRow(const std::vector<Value>& values, double confidence,
+                 double max_confidence, CostFunctionPtr cost);
 
-  /// Mirrors a confidence write (called by `Table::SetConfidence`).
+  /// Stores a validated, clamped confidence (called by
+  /// `Table::SetConfidence`).
   void StoreConfidence(size_t row, double confidence) {
     PCQE_DCHECK(row < num_rows_);
     chunks_[ChunkOf(row)]->confidences[OffsetOf(row)] = confidence;
@@ -141,6 +156,8 @@ class TableColumnData {
   struct Chunk {
     std::vector<ColumnChunk> cols;
     std::vector<double> confidences;
+    std::vector<double> max_confidences;
+    std::vector<CostFunctionPtr> costs;
   };
 
   std::vector<DataType> column_types_;

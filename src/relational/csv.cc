@@ -133,21 +133,58 @@ DataType InferColumnType(const std::vector<std::vector<std::string>>& rows, size
 }
 
 /// Whether a field must be quoted on export.
-bool NeedsQuoting(const std::string& s, char delimiter) {
-  return s.find_first_of(std::string{delimiter, '"', '\n', '\r'}) != std::string::npos;
+bool NeedsQuoting(std::string_view s, char delimiter) {
+  for (char c : s) {
+    if (c == delimiter || c == '"' || c == '\n' || c == '\r') return true;
+  }
+  return false;
 }
 
 }  // namespace
 
-std::string CsvQuote(const std::string& s, char delimiter) {
-  if (!NeedsQuoting(s, delimiter)) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
+void AppendCsvField(std::string* out, std::string_view field, char delimiter) {
+  if (!NeedsQuoting(field, delimiter)) {
+    out->append(field);
+    return;
   }
-  out += '"';
-  return out;
+  *out += '"';
+  for (char c : field) {
+    if (c == '"') *out += '"';
+    *out += c;
+  }
+  *out += '"';
+}
+
+void AppendCsvCell(std::string* out, const ColumnChunk& chunk, size_t offset,
+                   CsvDoubleFormat doubles, char delimiter) {
+  if (chunk.IsNull(offset)) return;
+  const size_t start = out->size();
+  switch (chunk.type()) {
+    case DataType::kNull:
+      return;
+    case DataType::kString:
+      AppendCsvField(out, chunk.StringAt(offset), delimiter);
+      return;
+    case DataType::kBool:
+      *out += chunk.BoolAt(offset) ? "true" : "false";
+      break;
+    case DataType::kInt64:
+      AppendInt(out, chunk.IntAt(offset));
+      break;
+    case DataType::kDouble:
+      if (doubles == CsvDoubleFormat::kExact) {
+        AppendDouble(out, chunk.DoubleAt(offset), 17);
+      } else {
+        AppendFormattedDouble(out, chunk.DoubleAt(offset));
+      }
+      break;
+  }
+  // Digits and booleans need quotes only under an unusual delimiter.
+  if (NeedsQuoting(std::string_view(*out).substr(start), delimiter)) {
+    std::string field = out->substr(start);
+    out->resize(start);
+    AppendCsvField(out, field, delimiter);
+  }
 }
 
 Result<Table*> ImportCsv(Catalog* catalog, const std::string& table_name,
@@ -264,24 +301,29 @@ std::string ExportCsv(const Table& table, const CsvOptions& options) {
   if (options.has_header) {
     for (size_t c = 0; c < table.schema().num_columns(); ++c) {
       if (c > 0) out += d;
-      out += CsvQuote(table.schema().column(c).name, d);
+      AppendCsvField(&out, table.schema().column(c).name, d);
     }
     if (!options.confidence_column.empty()) {
       if (table.schema().num_columns() > 0) out += d;
-      out += CsvQuote(options.confidence_column, d);
+      AppendCsvField(&out, options.confidence_column, d);
     }
     out += '\n';
   }
-  for (const Tuple& t : table.tuples()) {
-    for (size_t c = 0; c < t.values().size(); ++c) {
-      if (c > 0) out += d;
-      out += t.value(c).is_null() ? "" : CsvQuote(t.value(c).ToString(), d);
+  const TableColumnData& data = table.column_data();
+  const size_t ncols = data.num_columns();
+  for (size_t ch = 0; ch < data.num_chunks(); ++ch) {
+    const std::vector<double>& confidences = data.confidence_chunk(ch);
+    for (size_t i = 0; i < confidences.size(); ++i) {
+      for (size_t c = 0; c < ncols; ++c) {
+        if (c > 0) out += d;
+        AppendCsvCell(&out, data.chunk(c, ch), i, CsvDoubleFormat::kDisplay, d);
+      }
+      if (!options.confidence_column.empty()) {
+        if (ncols > 0) out += d;
+        AppendFormattedDouble(&out, confidences[i]);
+      }
+      out += '\n';
     }
-    if (!options.confidence_column.empty()) {
-      if (!t.values().empty()) out += d;
-      out += FormatDouble(t.confidence(), 6);
-    }
-    out += '\n';
   }
   return out;
 }

@@ -5,6 +5,7 @@
 #define PCQE_RELATIONAL_CSV_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -53,9 +54,23 @@ std::string ExportCsv(const Table& table, const CsvOptions& options = {});
 [[nodiscard]] Result<std::vector<std::vector<std::string>>> ParseCsv(const std::string& text,
                                                        char delimiter = ',');
 
-/// Quotes one field for CSV output when it contains the delimiter, quotes
-/// or newlines; returns it untouched otherwise.
-std::string CsvQuote(const std::string& field, char delimiter = ',');
+/// Appends one field for CSV output to `out`: quoted (with `""` for each
+/// quote) when it contains the delimiter, quotes or newlines, untouched
+/// otherwise.
+void AppendCsvField(std::string* out, std::string_view field, char delimiter = ',');
+
+/// How `AppendCsvCell` prints DOUBLE cells.
+enum class CsvDoubleFormat {
+  kDisplay,  ///< as `FormatDouble` prints them (`ExportCsv`)
+  kExact,    ///< 17 significant digits, which read back bit for bit (snapshots)
+};
+
+/// \brief Appends cell `offset` of `chunk` to `out` as one CSV field,
+/// straight from the typed array: empty for NULL, `true`/`false`, the
+/// integer's digits, the double per `doubles`, or the string, each quoted
+/// when it needs it. Writes no line end and no delimiter.
+void AppendCsvCell(std::string* out, const ColumnChunk& chunk, size_t offset,
+                   CsvDoubleFormat doubles, char delimiter = ',');
 
 }  // namespace pcqe
 

@@ -37,9 +37,6 @@ Result<DataType> ParseDataType(const std::string& name) {
   return Status::ParseError(StrFormat("unknown data type '%s'", name.c_str()));
 }
 
-/// Full-precision double for lossless round-trips.
-std::string PreciseDouble(double v) { return StrFormat("%.17g", v); }
-
 /// Strict parse of a `__confidence` / `__max_confidence` cell: the whole
 /// field must be a number in [0, 1]. The permissive alternative (strtod
 /// with no error check) silently loads garbage cells as 0.0, which then
@@ -124,23 +121,32 @@ Status SaveDatabase(const Catalog& catalog, const std::string& dir) {
     }
     PCQE_RETURN_NOT_OK(WriteFile(dir + "/" + name + ".schema", schema_text));
 
-    // Rows with the reserved annotation columns.
+    // Rows with the reserved annotation columns, written straight from the
+    // chunks' typed arrays. Doubles carry 17 significant digits (and cost
+    // parameters too), so a reload reproduces every value bit for bit.
     std::string csv;
     for (size_t c = 0; c < table->schema().num_columns(); ++c) {
-      csv += CsvQuote(table->schema().column(c).name) + ",";
+      AppendCsvField(&csv, table->schema().column(c).name);
+      csv += ',';
     }
     csv += "__confidence,__max_confidence,__cost\n";
-    for (const Tuple& t : table->tuples()) {
-      for (const Value& v : t.values()) {
-        std::string field;
-        if (!v.is_null()) {
-          field = v.type() == DataType::kDouble ? PreciseDouble(*v.AsDouble())
-                                                : v.ToString();
-        }
-        csv += CsvQuote(field) + ",";
+    const TableColumnData& data = table->column_data();
+    std::string cost;  // reused: one cost cell at a time
+    for (size_t row = 0; row < data.num_rows(); ++row) {
+      const size_t ch = TableColumnData::ChunkOf(row);
+      const size_t i = TableColumnData::OffsetOf(row);
+      for (size_t c = 0; c < data.num_columns(); ++c) {
+        AppendCsvCell(&csv, data.chunk(c, ch), i, CsvDoubleFormat::kExact);
+        csv += ',';
       }
-      csv += PreciseDouble(t.confidence()) + "," + PreciseDouble(t.max_confidence()) +
-             "," + CsvQuote(t.cost_function()->ToString()) + "\n";
+      AppendDouble(&csv, data.confidence(row), 17);
+      csv += ',';
+      AppendDouble(&csv, data.max_confidence(row), 17);
+      csv += ',';
+      cost.clear();
+      data.cost_function(row)->AppendDescription(&cost, 17);
+      AppendCsvField(&csv, cost);
+      csv += '\n';
     }
     PCQE_RETURN_NOT_OK(WriteFile(dir + "/" + name + ".csv", csv));
   }

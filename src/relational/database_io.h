@@ -20,7 +20,9 @@ namespace pcqe {
 /// - `dir/<table>.schema` — one `name<TAB>TYPE` line per column;
 /// - `dir/<table>.csv` — the rows, plus three reserved columns
 ///   `__confidence`, `__max_confidence` and `__cost` (the cost function in
-///   its `ToString` form, e.g. `exponential(a=2, b=3)`).
+///   its `ToString` form, e.g. `exponential(a=2, b=3)`, but with 17
+///   significant digits per parameter). DOUBLE cells and the confidences
+///   carry 17 significant digits too, so a reload is bit-exact.
 ///
 /// `dir` must already exist; files are overwritten.
 [[nodiscard]] Status SaveDatabase(const Catalog& catalog, const std::string& dir);

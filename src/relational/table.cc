@@ -1,5 +1,8 @@
 #include "relational/table.h"
 
+#include <algorithm>
+
+#include "common/math_util.h"
 #include "common/string_util.h"
 
 namespace pcqe {
@@ -30,11 +33,6 @@ Result<BaseTupleId> Table::Insert(std::vector<Value> values, double confidence,
           schema_.column(i).name.c_str(), DataTypeToString(schema_.column(i).type).c_str(),
           DataTypeToString(values[i].type()).c_str()));
     }
-    // Normalize widened integers so downstream hashing sees one type.
-    if (schema_.column(i).type == DataType::kDouble &&
-        values[i].type() == DataType::kInt64) {
-      values[i] = Value::Double(*values[i].AsDouble());
-    }
   }
   if (confidence < 0.0 || confidence > 1.0) {
     return Status::InvalidArgument(
@@ -44,17 +42,16 @@ Result<BaseTupleId> Table::Insert(std::vector<Value> values, double confidence,
     return Status::InvalidArgument(StrFormat(
         "max_confidence %g must lie in [confidence=%g, 1]", max_confidence, confidence));
   }
-  if (tuples_.size() >= (1ULL << 32)) {
+  const size_t row = columns_.num_rows();
+  if (row >= (1ULL << 32)) {
     return Status::ResourceExhausted(
         StrFormat("table '%s' exceeds 2^32 tuples", name_.c_str()));
   }
-  BaseTupleId id =
-      (static_cast<BaseTupleId>(table_id_) << 32) | static_cast<BaseTupleId>(tuples_.size());
-  tuples_.emplace_back(id, std::move(values), confidence, std::move(cost), max_confidence);
-  // Mirror into the columnar chunks with the *clamped* confidence, so chunk
-  // confidences and Tuple::confidence() stay bit-identical.
-  columns_.AppendRow(tuples_.back().values(), tuples_.back().confidence());
-  return id;
+  // The range checks above leave nothing to clamp: the row stores the
+  // annotations as given.
+  columns_.AppendRow(values, confidence, max_confidence,
+                     cost ? std::move(cost) : DefaultCostFunction());
+  return tuple(row).id();
 }
 
 Result<size_t> Table::RowOf(BaseTupleId id) const {
@@ -64,28 +61,27 @@ Result<size_t> Table::RowOf(BaseTupleId id) const {
                   static_cast<unsigned long long>(id), name_.c_str()));
   }
   size_t row = static_cast<size_t>(id & 0xFFFFFFFFULL);
-  if (row >= tuples_.size()) {
+  if (row >= columns_.num_rows()) {
     return Status::NotFound(StrFormat("tuple id %llu out of range for table '%s'",
                                       static_cast<unsigned long long>(id), name_.c_str()));
   }
   return row;
 }
 
-Result<const Tuple*> Table::FindTuple(BaseTupleId id) const {
+Result<Tuple> Table::FindTuple(BaseTupleId id) const {
   PCQE_ASSIGN_OR_RETURN(size_t row, RowOf(id));
-  return &tuples_[row];
+  return tuple(row);
 }
 
 Status Table::SetConfidence(BaseTupleId id, double confidence) {
   PCQE_ASSIGN_OR_RETURN(size_t row, RowOf(id));
-  Tuple& t = tuples_[row];
-  if (confidence < 0.0 || confidence > t.max_confidence() + kEpsilon) {
+  const double ceiling = columns_.max_confidence(row);
+  if (confidence < 0.0 || confidence > ceiling + kEpsilon) {
     return Status::InvalidArgument(
         StrFormat("confidence %g outside [0, max=%g] for tuple %llu", confidence,
-                  t.max_confidence(), static_cast<unsigned long long>(id)));
+                  ceiling, static_cast<unsigned long long>(id)));
   }
-  t.set_confidence(confidence);
-  columns_.StoreConfidence(row, t.confidence());
+  columns_.StoreConfidence(row, std::min(confidence, ceiling));
   return Status::OK();
 }
 

@@ -17,6 +17,8 @@ namespace pcqe {
 
 /// \brief A base relation: schema plus row storage.
 ///
+/// The column chunks (`column_data()`) are the one store of the rows and
+/// their annotations; `tuple` and `FindTuple` return `Tuple` views over it.
 /// Tuple ids are assigned at insertion as `(table_id << 32) | row_index`, so
 /// they are unique across a catalog (the catalog hands each table a distinct
 /// `table_id`; standalone tables built in tests use table_id 0).
@@ -35,34 +37,38 @@ class Table {
   const Schema& schema() const { return schema_; }
 
   /// Number of stored tuples.
-  size_t num_tuples() const { return tuples_.size(); }
+  size_t num_tuples() const { return columns_.num_rows(); }
 
-  /// All tuples in insertion order.
-  const std::vector<Tuple>& tuples() const { return tuples_; }
-
-  /// Tuple at `row`; `row` must be in range.
-  const Tuple& tuple(size_t row) const { return tuples_[row]; }
+  /// View of the tuple at `row` (insertion order); `row` must be in range.
+  Tuple tuple(size_t row) const {
+    return Tuple(&columns_, (static_cast<BaseTupleId>(table_id_) << 32) |
+                                static_cast<BaseTupleId>(row));
+  }
 
   /// \brief Appends a row.
   ///
   /// Validates arity and per-column types (NULL is accepted in any column;
-  /// BIGINT widens into DOUBLE columns). Returns the assigned tuple id.
+  /// BIGINT widens into DOUBLE columns), `confidence` in [0, 1] and
+  /// `max_confidence` in [confidence, 1]. A null `cost` stores
+  /// `DefaultCostFunction()`. Returns the assigned tuple id.
   [[nodiscard]] Result<BaseTupleId> Insert(std::vector<Value> values, double confidence,
                              CostFunctionPtr cost = nullptr, double max_confidence = 1.0);
 
   /// Looks up a tuple by id within this table.
-  [[nodiscard]] Result<const Tuple*> FindTuple(BaseTupleId id) const;
+  [[nodiscard]] Result<Tuple> FindTuple(BaseTupleId id) const;
 
-  /// Sets the confidence of tuple `id`. Returns `kNotFound` for foreign ids
-  /// and `kInvalidArgument` when `confidence` exceeds the tuple's ceiling.
+  /// Sets the confidence of tuple `id`, clamped into [0, ceiling] (a target
+  /// within `kEpsilon` above the ceiling stores the ceiling). Returns
+  /// `kNotFound` for foreign ids and `kInvalidArgument` when `confidence` is
+  /// negative or exceeds the tuple's ceiling by more than `kEpsilon`.
   [[nodiscard]] Status SetConfidence(BaseTupleId id, double confidence);
 
   /// The id-space prefix of this table, exposed so the catalog can route a
   /// `BaseTupleId` back to its owning table.
   uint32_t table_id() const { return table_id_; }
 
-  /// The columnar mirror of this table, maintained row-for-row by `Insert`
-  /// and `SetConfidence`. Vectorized scans borrow its chunks zero-copy.
+  /// The table's storage, written only by `Insert` and `SetConfidence`.
+  /// Vectorized scans and the writers borrow its chunks zero-copy.
   const TableColumnData& column_data() const { return columns_; }
 
  private:
@@ -72,7 +78,6 @@ class Table {
   std::string name_;
   Schema schema_;
   uint32_t table_id_;
-  std::vector<Tuple> tuples_;
   TableColumnData columns_;
 };
 

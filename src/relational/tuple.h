@@ -8,8 +8,8 @@
 #include <string>
 #include <vector>
 
-#include "common/math_util.h"
 #include "cost/cost_function.h"
+#include "relational/column_chunk.h"
 #include "relational/value.h"
 
 namespace pcqe {
@@ -21,7 +21,8 @@ using BaseTupleId = uint64_t;
 /// Sentinel for "no tuple".
 inline constexpr BaseTupleId kInvalidBaseTupleId = ~0ULL;
 
-/// \brief One stored row: values plus the paper's confidence annotations.
+/// \brief A view of one stored row: values plus the paper's confidence
+/// annotations.
 ///
 /// Beyond the row data, a base tuple carries
 /// - `confidence`: trustworthiness in [0, 1] (assigned by the confidence
@@ -29,53 +30,48 @@ inline constexpr BaseTupleId kInvalidBaseTupleId = ~0ULL;
 /// - `max_confidence`: the ceiling achievable by quality improvement (the
 ///   paper's "1 or its maximum possible confidence level");
 /// - a `CostFunction` pricing confidence increments for this tuple.
+///
+/// The table's column chunks are the only store of all four; a `Tuple` is a
+/// cheap ⟨chunks, id⟩ handle that reads them on each call. The annotation
+/// accessors box nothing; `value`, `values` and `ToString` box on demand. A
+/// view stays valid while its table lives, and it sees later
+/// `Table::SetConfidence` writes.
 class Tuple {
  public:
-  Tuple() = default;
-
-  /// Constructs a tuple with the given payload. `confidence` is clamped to
-  /// [0, max_confidence]; a null `cost` falls back to `DefaultCostFunction()`.
-  Tuple(BaseTupleId id, std::vector<Value> values, double confidence,
-        CostFunctionPtr cost = nullptr, double max_confidence = 1.0)
-      : id_(id),
-        values_(std::move(values)),
-        max_confidence_(ClampProbability(max_confidence)),
-        confidence_(std::min(ClampProbability(confidence), max_confidence_)),
-        cost_(cost ? std::move(cost) : DefaultCostFunction()) {}
-
   /// Catalog-wide id.
   BaseTupleId id() const { return id_; }
 
-  /// Row payload.
-  const std::vector<Value>& values() const { return values_; }
+  /// Number of values in the row.
+  size_t num_values() const { return data_->num_columns(); }
 
-  /// Value of column `i`; `i` must be in range.
-  const Value& value(size_t i) const { return values_[i]; }
+  /// Value of column `i`, boxed; `i` must be in range.
+  Value value(size_t i) const { return data_->value(i, row()); }
+
+  /// The whole row, boxed.
+  std::vector<Value> values() const;
 
   /// Current confidence in [0, max_confidence].
-  double confidence() const { return confidence_; }
+  double confidence() const { return data_->confidence(row()); }
 
   /// Ceiling for quality improvement.
-  double max_confidence() const { return max_confidence_; }
+  double max_confidence() const { return data_->max_confidence(row()); }
 
   /// Cost model for raising this tuple's confidence; never null.
-  const CostFunctionPtr& cost_function() const { return cost_; }
-
-  /// Sets the confidence, clamped into [0, max_confidence]. Only the data
-  /// quality improvement component should call this on stored tuples.
-  void set_confidence(double confidence) {
-    confidence_ = std::min(ClampProbability(confidence), max_confidence_);
-  }
+  const CostFunctionPtr& cost_function() const { return data_->cost_function(row()); }
 
   /// "(v1, v2, ...) @ p=<confidence>" for diagnostics.
   std::string ToString() const;
 
  private:
-  BaseTupleId id_ = kInvalidBaseTupleId;
-  std::vector<Value> values_;
-  double max_confidence_ = 1.0;
-  double confidence_ = 0.0;
-  CostFunctionPtr cost_;
+  friend class Table;  // the only source of views
+
+  /// Views row `id & 0xFFFFFFFF` of `data`.
+  Tuple(const TableColumnData* data, BaseTupleId id) : data_(data), id_(id) {}
+
+  size_t row() const { return static_cast<size_t>(id_ & 0xFFFFFFFFULL); }
+
+  const TableColumnData* data_;
+  BaseTupleId id_;
 };
 
 }  // namespace pcqe

@@ -6,6 +6,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "cost/cost_function.h"
 
@@ -46,6 +49,122 @@ TEST(CostSerializationTest, RejectsMalformedInput) {
   EXPECT_TRUE(ParseCostFunction("linear(a)").status().IsParseError());
   // Parameters out of range surface the factory's validation.
   EXPECT_TRUE(ParseCostFunction("linear(a=-1)").status().IsInvalidArgument());
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+/// One cost function per family, each parameter needing all 17 digits.
+std::vector<CostFunctionPtr> LongParameterCosts() {
+  return {*MakeLinearCost(12.345678901234567),
+          *MakePolynomialCost(12.345678901234567, 2.0000000000000004),
+          *MakeExponentialCost(3.1415926535897931, 1.2345678901234567),
+          *MakeLogarithmicCost(2.7182818284590451, 7.1234567890123453),
+          *MakeStepCost(12.345678901234567, 0.12345678901234568)};
+}
+
+TEST(CostSerializationTest, ExactDescriptionRoundTripsBitForBit) {
+  for (const CostFunctionPtr& f : LongParameterCosts()) {
+    std::string exact;
+    f->AppendDescription(&exact, 17);
+    auto parsed = ParseCostFunction(exact);
+    ASSERT_TRUE(parsed.ok()) << exact << ": " << parsed.status().ToString();
+    for (double p : {0.0, 0.1, 0.37, 0.5, 0.9, 1.0}) {
+      EXPECT_EQ((*parsed)->Level(p), f->Level(p)) << exact;
+    }
+    EXPECT_EQ((*parsed)->Increment(0.1, 0.5), f->Increment(0.1, 0.5)) << exact;
+  }
+  // The display form keeps printf's %g.
+  EXPECT_EQ((*MakePolynomialCost(12.345678901234567, 2.0))->ToString(),
+            "polynomial(a=12.3457, d=2)");
+}
+
+TEST(DatabaseIoTest, CostParametersSurviveSaveAndLoadExactly) {
+  std::vector<CostFunctionPtr> costs = LongParameterCosts();
+  Catalog catalog;
+  Table* t = *catalog.CreateTable("costs", Schema({{"i", DataType::kInt64, ""}}));
+  for (size_t i = 0; i < costs.size(); ++i) {
+    ASSERT_TRUE(t->Insert({Value::Int(static_cast<int64_t>(i))}, 0.1, costs[i]).ok());
+  }
+  std::string dir = FreshDir("dbio_cost_precision");
+  ASSERT_TRUE(SaveDatabase(catalog, dir).ok());
+  Catalog loaded;
+  ASSERT_TRUE(LoadDatabase(dir, &loaded).ok());
+  const Table* lt = *loaded.GetTable("costs");
+  ASSERT_EQ(lt->num_tuples(), costs.size());
+  for (size_t i = 0; i < costs.size(); ++i) {
+    const CostFunctionPtr& got = lt->tuple(i).cost_function();
+    EXPECT_EQ(got->family(), costs[i]->family());
+    for (double p : {0.0, 0.1, 0.37, 0.5, 0.9, 1.0}) {
+      EXPECT_EQ(got->Level(p), costs[i]->Level(p)) << costs[i]->ToString();
+    }
+    EXPECT_EQ(got->Increment(0.1, 0.5), costs[i]->Increment(0.1, 0.5))
+        << costs[i]->ToString();
+  }
+}
+
+TEST(DatabaseIoTest, SnapshotBytesAreGolden) {
+  Catalog catalog;
+  Table* t = *catalog.CreateTable("golden", Schema({{"name", DataType::kString, ""},
+                                                   {"n", DataType::kInt64, ""},
+                                                   {"x", DataType::kDouble, ""},
+                                                   {"flag", DataType::kBool, ""}}));
+  ASSERT_TRUE(t->Insert({Value::String("say \"hi\", ok"), Value::Int(-42),
+                         Value::Double(-0.0), Value::Bool(true)},
+                        0.37, *MakeLinearCost(2.0), 0.9)
+                  .ok());
+  ASSERT_TRUE(
+      t->Insert({Value::Null(), Value::Null(), Value::Null(), Value::Null()}, 0.5).ok());
+  ASSERT_TRUE(t->Insert({Value::String("plain"), Value::Int(9007199254740993LL),
+                         Value::Double(0.1), Value::Bool(false)},
+                        0.1, *MakePolynomialCost(1.5, 3.0))
+                  .ok());
+  ASSERT_TRUE(t->Insert({Value::String("multi\nline"), Value::Int(0),
+                         Value::Double(-1234.5678901234567), Value::Null()},
+                        0.0, *MakeExponentialCost(2.0, 0.5), 0.25)
+                  .ok());
+  ASSERT_TRUE(t->Insert({Value::String(""), Value::Null(), Value::Double(1e300),
+                         Value::Bool(true)},
+                        1.0, *MakeLogarithmicCost(4.0, 12.0))
+                  .ok());
+  BaseTupleId last = *t->Insert({Value::String("x"), Value::Int(7), Value::Int(3),
+                                 Value::Bool(false)},
+                                0.2, *MakeStepCost(2.0, 0.25));
+  ASSERT_TRUE(catalog.SetConfidence(last, 0.30000000000000004).ok());
+  Table* n = *catalog.CreateTable("nulls", Schema({{"z", DataType::kNull, ""}}));
+  ASSERT_TRUE(n->Insert({Value::Null()}, 0.5).ok());
+
+  std::string dir = FreshDir("dbio_golden");
+  ASSERT_TRUE(SaveDatabase(catalog, dir).ok());
+  EXPECT_EQ(ReadAll(dir + "/manifest.pcqe"),
+            "PCQE_DB 2\nconfidence_version 1\ntable 1 golden\ntable 2 nulls\n");
+  EXPECT_EQ(ReadAll(dir + "/golden.schema"),
+            "name\tVARCHAR\nn\tBIGINT\nx\tDOUBLE\nflag\tBOOLEAN\n");
+  EXPECT_EQ(ReadAll(dir + "/golden.csv"),
+            "name,n,x,flag,__confidence,__max_confidence,__cost\n"
+            "\"say \"\"hi\"\", ok\",-42,-0,true,0.37,0.90000000000000002,linear(a=2)\n"
+            ",,,,0.5,1,linear(a=1)\n"
+            "plain,9007199254740993,0.10000000000000001,false,0.10000000000000001,1,"
+            "\"polynomial(a=1.5, d=3)\"\n"
+            "\"multi\nline\",0,-1234.5678901234567,,0,0.25,\"exponential(a=2, b=0.5)\"\n"
+            ",,1.0000000000000001e+300,true,1,1,\"logarithmic(a=4, b=12)\"\n"
+            "x,7,3,false,0.30000000000000004,1,\"step(a=2, delta=0.25)\"\n");
+  EXPECT_EQ(ReadAll(dir + "/nulls.schema"), "z\tNULL\n");
+  EXPECT_EQ(ReadAll(dir + "/nulls.csv"),
+            "z,__confidence,__max_confidence,__cost\n,0.5,1,linear(a=1)\n");
+
+  // A reload saves the same bytes again (the empty VARCHAR reloads as NULL,
+  // which writes the same empty field).
+  Catalog loaded;
+  ASSERT_TRUE(LoadDatabase(dir, &loaded).ok());
+  std::string again = FreshDir("dbio_golden_again");
+  ASSERT_TRUE(SaveDatabase(loaded, again).ok());
+  for (const char* file : {"manifest.pcqe", "golden.schema", "golden.csv", "nulls.schema",
+                           "nulls.csv"}) {
+    EXPECT_EQ(ReadAll(again + "/" + file), ReadAll(dir + "/" + file)) << file;
+  }
 }
 
 TEST(DatabaseIoTest, RoundTripsTablesRowsAndAnnotations) {
@@ -217,8 +336,8 @@ TEST(DatabaseIoTest, HeaderRoundTripsConfidenceVersionAndTableIds) {
   EXPECT_EQ(loaded.confidence_version(), 3u);
   // Tuple ids are reproduced exactly: persisted BaseTupleIds (WAL actions,
   // lineage references) keep resolving to the same tuples.
-  EXPECT_DOUBLE_EQ((*loaded.FindTuple(id_a))->confidence(), 0.7);
-  EXPECT_DOUBLE_EQ((*loaded.FindTuple(id_b))->confidence(), 0.6);
+  EXPECT_DOUBLE_EQ(loaded.FindTuple(id_a)->confidence(), 0.7);
+  EXPECT_DOUBLE_EQ(loaded.FindTuple(id_b)->confidence(), 0.6);
   EXPECT_EQ((*loaded.GetTable("a"))->table_id(), a->table_id());
   EXPECT_EQ((*loaded.GetTable("b"))->table_id(), b->table_id());
   // Fresh table ids continue past the restored ones (no aliasing).

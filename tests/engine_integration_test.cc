@@ -95,7 +95,7 @@ TEST_F(PcqeEngineTest, AcceptProposalThenRequeryReleases) {
   ASSERT_TRUE(blocked.proposal.needed);
   ASSERT_TRUE(engine_->AcceptProposal(blocked.proposal).ok());
   // Tuple 03 now holds 0.5 in the database; p38 = 0.065 > 0.06.
-  EXPECT_DOUBLE_EQ((*catalog_.FindTuple(id03_))->confidence(), 0.5);
+  EXPECT_DOUBLE_EQ(catalog_.FindTuple(id03_)->confidence(), 0.5);
   QueryOutcome after = *engine_->Submit(request);
   ASSERT_EQ(after.released.size(), 1u);
   EXPECT_NEAR(after.intermediate.rows[0].confidence, 0.065, 1e-12);

@@ -21,22 +21,17 @@ class ImproverTest : public ::testing::Test {
   BaseTupleId id_a_ = 0, id_b_ = 0;
 };
 
-TEST_F(ImproverTest, AppliesAndLogs) {
+TEST_F(ImproverTest, AppliesAndTotalsCost) {
   QualityImprover improver(&catalog_);
   ASSERT_TRUE(improver.Apply({{id_a_, 0.3, 0.5, 0.0}}).ok());
-  EXPECT_DOUBLE_EQ((*catalog_.FindTuple(id_a_))->confidence(), 0.5);
-  ASSERT_EQ(improver.log().size(), 1u);
-  EXPECT_EQ(improver.log()[0].tuple, id_a_);
-  EXPECT_DOUBLE_EQ(improver.log()[0].from, 0.3);
-  EXPECT_DOUBLE_EQ(improver.log()[0].to, 0.5);
-  EXPECT_NEAR(improver.log()[0].cost, 20.0, 1e-9);  // linear a=100
-  EXPECT_NEAR(improver.total_cost_spent(), 20.0, 1e-9);
+  EXPECT_DOUBLE_EQ(catalog_.FindTuple(id_a_)->confidence(), 0.5);
+  EXPECT_NEAR(improver.total_cost_spent(), 20.0, 1e-9);  // linear a=100
 }
 
 TEST_F(ImproverTest, RejectsUnknownTuple) {
   QualityImprover improver(&catalog_);
   EXPECT_TRUE(improver.Apply({{(99ULL << 32), 0.1, 0.5, 0.0}}).IsNotFound());
-  EXPECT_TRUE(improver.log().empty());
+  EXPECT_DOUBLE_EQ(improver.total_cost_spent(), 0.0);
 }
 
 TEST_F(ImproverTest, RejectsNonIncrease) {
@@ -56,26 +51,24 @@ TEST_F(ImproverTest, AllOrNothing) {
   // Second action invalid: the first must not have been applied.
   Status s = improver.Apply({{id_a_, 0.3, 0.5, 0.0}, {id_b_, 0.4, 0.95, 0.0}});
   EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_DOUBLE_EQ((*catalog_.FindTuple(id_a_))->confidence(), 0.3);
-  EXPECT_TRUE(improver.log().empty());
+  EXPECT_DOUBLE_EQ(catalog_.FindTuple(id_a_)->confidence(), 0.3);
   EXPECT_DOUBLE_EQ(improver.total_cost_spent(), 0.0);
 }
 
 TEST_F(ImproverTest, CostUsesActualStoredState) {
   QualityImprover improver(&catalog_);
-  // The recorded cost comes from the tuple's own cost function and its
+  // The committed cost comes from the tuple's own cost function and its
   // confidence at apply time, not from the caller-supplied fields.
   ASSERT_TRUE(improver.Apply({{id_a_, 0.0, 0.4, 12345.0}}).ok());
-  EXPECT_NEAR(improver.log()[0].cost, 10.0, 1e-9);  // 0.3 -> 0.4 at a=100
-  EXPECT_DOUBLE_EQ(improver.log()[0].from, 0.3);
+  EXPECT_DOUBLE_EQ(catalog_.FindTuple(id_a_)->confidence(), 0.4);
+  EXPECT_NEAR(improver.total_cost_spent(), 10.0, 1e-9);  // 0.3 -> 0.4 at a=100
 }
 
 TEST_F(ImproverTest, SequentialImprovementsAccumulate) {
   QualityImprover improver(&catalog_);
   ASSERT_TRUE(improver.Apply({{id_a_, 0.3, 0.4, 0.0}}).ok());
   ASSERT_TRUE(improver.Apply({{id_a_, 0.4, 0.6, 0.0}}).ok());
-  EXPECT_DOUBLE_EQ((*catalog_.FindTuple(id_a_))->confidence(), 0.6);
-  EXPECT_EQ(improver.log().size(), 2u);
+  EXPECT_DOUBLE_EQ(catalog_.FindTuple(id_a_)->confidence(), 0.6);
   EXPECT_NEAR(improver.total_cost_spent(), 30.0, 1e-9);
 }
 

@@ -315,7 +315,7 @@ TEST_P(QueryLineageTest, ImprovementMonotonicityEndToEnd) {
   for (int trial = 0; trial < 5; ++trial) {
     size_t row = static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(l->num_tuples()) - 1));
-    const Tuple& t = l->tuple(row);
+    Tuple t = l->tuple(row);
     ASSERT_TRUE(
         catalog_.SetConfidence(t.id(), std::min(1.0, t.confidence() + 0.3)).ok());
   }

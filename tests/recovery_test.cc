@@ -63,7 +63,7 @@ struct Incarnation {
 
   std::vector<double> Confidences() const {
     std::vector<double> out;
-    for (BaseTupleId id : ids) out.push_back((*catalog.FindTuple(id))->confidence());
+    for (BaseTupleId id : ids) out.push_back(catalog.FindTuple(id)->confidence());
     return out;
   }
 
@@ -259,6 +259,46 @@ TEST_F(RecoveryTest, SuccessfulCheckpointSurvivesCrashWithLaterCommits) {
   EXPECT_EQ(revived.catalog.confidence_version(), version);
   // Only the post-checkpoint records replay.
   EXPECT_EQ(revived.storage.snapshot().recovered_records, 3u);
+}
+
+TEST_F(RecoveryTest, CheckpointKeepsCostParametersExact) {
+  // Long cost parameters must survive checkpoint + recovery bit for bit:
+  // a recovered catalog that prices increments differently would change
+  // every later plan.
+  std::string dir = FreshDir("rec_cost_precision");
+  const std::vector<CostFunctionPtr> costs = {
+      *MakeLinearCost(12.345678901234567),
+      *MakePolynomialCost(12.345678901234567, 2.0),
+      *MakeExponentialCost(3.1415926535897931, 1.2345678901234567),
+      *MakeLogarithmicCost(2.7182818284590451, 7.1234567890123453),
+      *MakeStepCost(12.345678901234567, 0.12345678901234568)};
+  Catalog catalog;
+  Table* table = *catalog.CreateTable("t", Schema({{"x", DataType::kInt64, ""}}));
+  std::vector<BaseTupleId> ids;
+  for (size_t i = 0; i < costs.size(); ++i) {
+    ids.push_back(*table->Insert({Value::Int(static_cast<int64_t>(i))}, 0.1, costs[i]));
+  }
+  PcqeEngine engine(&catalog, RoleGraph(), PolicyStore());
+  StorageManager storage;
+  ASSERT_TRUE(storage.Open({.dir = dir}, &catalog).ok());
+  engine.AttachStorage(&storage);
+  StrategyProposal proposal;
+  proposal.needed = true;
+  proposal.actions = {{ids[1], 0.0, 0.5, 0.0}};
+  ASSERT_TRUE(engine.AcceptProposal(proposal).ok());
+  ASSERT_TRUE(storage.Checkpoint(catalog).ok());
+
+  ASSERT_TRUE(storage.Recover().ok());
+  EXPECT_EQ(catalog.FindTuple(ids[1])->confidence(), 0.5);
+  for (size_t i = 0; i < costs.size(); ++i) {
+    const CostFunctionPtr& got = catalog.FindTuple(ids[i])->cost_function();
+    EXPECT_NE(got.get(), costs[i].get());  // really reloaded
+    for (double p : {0.1, 0.37, 0.5, 1.0}) {
+      EXPECT_EQ(got->Level(p), costs[i]->Level(p)) << costs[i]->ToString();
+    }
+    EXPECT_EQ(got->Increment(0.1, 0.5), costs[i]->Increment(0.1, 0.5))
+        << costs[i]->ToString();
+  }
 }
 
 TEST_F(RecoveryTest, ReplayFaultFailsRecoveryCleanlyThenSucceeds) {

@@ -724,7 +724,7 @@ TEST_F(QueryServiceTest, DurableAcceptSurvivesServiceRestart) {
         *service->Submit(mary, {.sql = kCandidateQuery, .required_fraction = 1.0});
     EXPECT_EQ(after.released.size(), 1u);
     version = catalog_.confidence_version();
-    improved = (*catalog_.FindTuple(id03_))->confidence();
+    improved = catalog_.FindTuple(id03_)->confidence();
   }  // service shuts down; the "machine" below restarts from disk alone
 
   // A fresh catalog + engine + service over the same directory recovers the
@@ -742,7 +742,7 @@ TEST_F(QueryServiceTest, DurableAcceptSurvivesServiceRestart) {
   ASSERT_TRUE(revived.durability_status().ok())
       << revived.durability_status().ToString();
   EXPECT_EQ(revived_catalog.confidence_version(), version);
-  EXPECT_EQ((*revived_catalog.FindTuple(id03_))->confidence(), improved);
+  EXPECT_EQ(revived_catalog.FindTuple(id03_)->confidence(), improved);
   SessionHandle mary = *revived.OpenSession("mary", "investment");
   QueryOutcome served =
       *revived.Submit(mary, {.sql = kCandidateQuery, .required_fraction = 1.0});

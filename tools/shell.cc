@@ -379,7 +379,7 @@ void Shell::CmdWhy(const std::vector<std::string>& args) {
        RankInfluence(*last_result_->arena, result_row.lineage, *probs, 5)) {
     std::string label = "tuple " + std::to_string(e.var);
     if (auto tuple = catalog_.FindTuple(e.var); tuple.ok()) {
-      label = (*tuple)->ToString();
+      label = tuple->ToString();
     }
     out() << "  " << label << ": sensitivity " << FormatDouble(e.sensitivity, 4)
           << ", headroom " << FormatDouble(e.headroom, 4) << ", potential "
@@ -723,7 +723,7 @@ void Shell::CmdProposal() {
   for (const IncrementAction& a : last_proposal_.actions) {
     std::string row = "tuple " + std::to_string(a.base_tuple);
     if (auto tuple = catalog_.FindTuple(a.base_tuple); tuple.ok()) {
-      row = (*tuple)->ToString();
+      row = tuple->ToString();
     }
     out() << "  " << row << ": " << FormatDouble(a.from, 4) << " -> "
           << FormatDouble(a.to, 4) << " (cost " << FormatDouble(a.cost, 4) << ")\n";

@@ -19,12 +19,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "bench_common.h"
 #include "common/math_util.h"
 #include "common/random.h"
 #include "common/string_util.h"
-#include "query/confidence_index.h"
 #include "query/parser.h"
 #include "query/query_engine.h"
 #include "relational/catalog.h"
@@ -285,14 +285,13 @@ void RunPushdownSweep() {
   }
   std::sort(sorted.begin(), sorted.end());
 
-  ConfidenceIndexCache index;
-  auto run = [&](const ConfidencePushdown* pushdown, QueryResult* out) {
+  auto run = [&](std::optional<double> pushdown_beta, QueryResult* out) {
     double best = 1e99;
     for (int rep = 0; rep < 2; ++rep) {
       auto t0 = std::chrono::steady_clock::now();
       Result<QueryResult> result =
           RunQuery(*catalog, sql, nullptr, ExecutionMode::kVectorized,
-                   /*materialize_values=*/false, nullptr, pushdown);
+                   /*materialize_values=*/false, nullptr, pushdown_beta);
       auto t1 = std::chrono::steady_clock::now();
       if (!result.ok()) {
         std::fprintf(stderr, "pushdown sweep query failed: %s\n",
@@ -313,13 +312,10 @@ void RunPushdownSweep() {
   for (int pct : {10, 50, 90, 99}) {
     double beta =
         sorted[std::min(sorted.size() - 1, sorted.size() * static_cast<size_t>(pct) / 100)];
-    ConfidencePushdown pushdown;
-    pushdown.beta = beta;
-    pushdown.index = &index;
     QueryResult off_result;
     QueryResult on_result;
-    double off_s = run(nullptr, &off_result);
-    double on_s = run(&pushdown, &on_result);
+    double off_s = run(std::nullopt, &off_result);
+    double on_s = run(beta, &on_result);
 
     // Release-identity: the policy keep-test (conf > β + ε) applied to both
     // results must select the same confidence sequence. Pushdown prunes only

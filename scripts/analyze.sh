@@ -10,11 +10,14 @@
 #      and the fault-injection suite (error/deadline paths under workers)
 #   4. a second configure with the GCC static analyzer (-fanalyzer) and
 #      -Werror, so any analyzer diagnostic fails the build
-#   5. clang Thread Safety Analysis (-Wthread-safety -Werror) over the
+#   5. a GCC Release build (-O3) of the library and tools with
+#      -DPCQE_WERROR=ON: -O3 inlines more of libstdc++, and some warnings
+#      (-Wrestrict, for one) only fire there
+#   6. clang Thread Safety Analysis (-Wthread-safety -Werror) over the
 #      library and tools — the compile-time lock-discipline gate — plus the
 #      negative-compile fixture check. Skipped with a notice when clang is
 #      not installed; TSan (leg 3) still covers the dynamic side.
-#   6. clang-tidy (bugprone/concurrency/performance checks from the repo
+#   7. clang-tidy (bugprone/concurrency/performance checks from the repo
 #      .clang-tidy) over src/ and tools/. Skipped when absent.
 # Usage: scripts/analyze.sh
 set -euo pipefail
@@ -44,10 +47,10 @@ find_clang() {
   return 1
 }
 
-echo "== [1/6] lint"
+echo "== [1/7] lint"
 scripts/lint.sh
 
-echo "== [2/6] ASan+UBSan test suite"
+echo "== [2/7] ASan+UBSan test suite"
 cmake -B build-asan -S . $(generator_args_for build-asan) \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPCQE_SANITIZE="address;undefined" \
@@ -55,7 +58,7 @@ cmake -B build-asan -S . $(generator_args_for build-asan) \
 cmake --build build-asan -j"$(nproc)"
 ctest --test-dir build-asan -j"$(nproc)" --output-on-failure
 
-echo "== [3/6] TSan concurrency tests"
+echo "== [3/7] TSan concurrency tests"
 cmake -B build-tsan -S . $(generator_args_for build-tsan) \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DPCQE_SANITIZE=thread \
@@ -67,7 +70,7 @@ ctest --test-dir build-tsan \
   -R '^(service_test|service_stress_test|parallel_solver_test|fault_injection_test)$' \
   --output-on-failure
 
-echo "== [4/6] GCC static analyzer (-fanalyzer -Werror)"
+echo "== [4/7] GCC static analyzer (-fanalyzer -Werror)"
 # Analyze the library and tools only: gtest/benchmark headers are not ours
 # and -fanalyzer over them is slow and noisy.
 cmake -B build-analyzer -S . $(generator_args_for build-analyzer) \
@@ -76,7 +79,13 @@ cmake -B build-analyzer -S . $(generator_args_for build-analyzer) \
   -DPCQE_BUILD_TESTS=OFF -DPCQE_BUILD_BENCHMARKS=OFF -DPCQE_BUILD_EXAMPLES=OFF
 cmake --build build-analyzer -j"$(nproc)"
 
-echo "== [5/6] clang thread-safety analysis (-Wthread-safety -Werror)"
+echo "== [5/7] GCC Release build (-O3, -DPCQE_WERROR=ON)"
+cmake -B build-release-werror -S . $(generator_args_for build-release-werror) \
+  -DCMAKE_BUILD_TYPE=Release -DPCQE_WERROR=ON \
+  -DPCQE_BUILD_TESTS=OFF -DPCQE_BUILD_BENCHMARKS=OFF -DPCQE_BUILD_EXAMPLES=OFF
+cmake --build build-release-werror -j"$(nproc)"
+
+echo "== [6/7] clang thread-safety analysis (-Wthread-safety -Werror)"
 if CLANG_CXX=$(find_clang); then
   # Library and tools only, mirroring the -fanalyzer leg: the annotations
   # live in src/ and tools/; tests and benches are single-threaded callers
@@ -96,7 +105,7 @@ else
        "lock discipline at compile time)"
 fi
 
-echo "== [6/6] clang-tidy"
+echo "== [7/7] clang-tidy"
 if command -v clang-tidy > /dev/null 2>&1; then
   # clang-tidy needs a compilation database; reuse the TSA tree if clang was
   # found above, else generate one with the default compiler.

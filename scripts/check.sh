@@ -161,8 +161,9 @@ fi
 
 # Export smoke: `.save` (CSV export) and `.savedb` (snapshot) write straight
 # from the column chunks. A snapshot reopened in a fresh shell must export
-# and snapshot to the same bytes, NULLs, quoted fields and 17-digit negative
-# doubles included.
+# and snapshot to the same bytes, and a `.save`d file loaded into a fresh
+# shell must `.save` to the same bytes: NULLs apart from empty strings,
+# quoted fields and 17-digit negative doubles included.
 echo "== shell: export round-trip smoke"
 EXPORT_DIR=$(mktemp -d)
 cat > "$EXPORT_DIR/in.csv" <<'EOF'
@@ -170,13 +171,16 @@ id,label,reading,ok,conf
 1,"north, ""A""",-0.12345678901234566,true,0.9
 2,,-1234.5678901234567,,0.30000000000000004
 3,plain,,false,0.5
+4,"",0.25,true,0.7
 EOF
 mkdir -p "$EXPORT_DIR/db1" "$EXPORT_DIR/db2"
 FIRST_OUT=$(printf '.load t %s conf\n.save t %s\n.savedb %s\n.quit\n' \
   "$EXPORT_DIR/in.csv" "$EXPORT_DIR/first.csv" "$EXPORT_DIR/db1" | build/tools/pcqe_shell)
 SECOND_OUT=$(printf '.opendb %s\n.save t %s\n.savedb %s\n.quit\n' \
   "$EXPORT_DIR/db1" "$EXPORT_DIR/second.csv" "$EXPORT_DIR/db2" | build/tools/pcqe_shell)
-for expected in "loaded 3 rows" "saved $EXPORT_DIR/first.csv" "database saved"; do
+THIRD_OUT=$(printf '.load t %s confidence\n.save t %s\n.quit\n' \
+  "$EXPORT_DIR/first.csv" "$EXPORT_DIR/third.csv" | build/tools/pcqe_shell)
+for expected in "loaded 4 rows" "saved $EXPORT_DIR/first.csv" "database saved"; do
   echo "$FIRST_OUT" | grep -qF "$expected" \
     || { echo "export smoke failed: no '$expected'"; echo "$FIRST_OUT"; exit 1; }
 done
@@ -186,10 +190,18 @@ for expected in "database loaded" "saved $EXPORT_DIR/second.csv" "database saved
 done
 grep -qF '"north, ""A"""' "$EXPORT_DIR/first.csv" \
   || { echo "export smoke failed: quoted field lost"; cat "$EXPORT_DIR/first.csv"; exit 1; }
+for expected in "loaded 4 rows" "saved $EXPORT_DIR/third.csv"; do
+  echo "$THIRD_OUT" | grep -qF "$expected" \
+    || { echo "export smoke failed: no '$expected'"; echo "$THIRD_OUT"; exit 1; }
+done
 grep -qF -- '-1234.5678901234567,,' "$EXPORT_DIR/db1/t.csv" \
   || { echo "export smoke failed: snapshot lost a digit or a NULL"; cat "$EXPORT_DIR/db1/t.csv"; exit 1; }
+grep -qF '4,"",0.25,' "$EXPORT_DIR/db1/t.csv" \
+  || { echo "export smoke failed: snapshot lost an empty string"; cat "$EXPORT_DIR/db1/t.csv"; exit 1; }
 cmp "$EXPORT_DIR/first.csv" "$EXPORT_DIR/second.csv" \
   || { echo "export smoke failed: .save differs after .opendb"; exit 1; }
+cmp "$EXPORT_DIR/first.csv" "$EXPORT_DIR/third.csv" \
+  || { echo "export smoke failed: .save differs after .load of a .save"; exit 1; }
 diff -r "$EXPORT_DIR/db1" "$EXPORT_DIR/db2" \
   || { echo "export smoke failed: .savedb differs after .opendb"; exit 1; }
 rm -rf "$EXPORT_DIR"

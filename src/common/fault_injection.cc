@@ -39,10 +39,9 @@ const std::vector<const char*>& FaultInjector::KnownSites() {
       fault_sites::kDncGroup,       fault_sites::kDncDeadline,
       fault_sites::kEngineEvaluate, fault_sites::kCatalogAccept,
       fault_sites::kCacheLookup,    fault_sites::kAdmission,
-      fault_sites::kWorkerProcess,  fault_sites::kIndexRebuild,
-      fault_sites::kWalAppend,      fault_sites::kWalSync,
-      fault_sites::kCheckpoint,     fault_sites::kManifest,
-      fault_sites::kRecoveryReplay,
+      fault_sites::kWorkerProcess,  fault_sites::kWalAppend,
+      fault_sites::kWalSync,        fault_sites::kCheckpoint,
+      fault_sites::kManifest,       fault_sites::kRecoveryReplay,
   };
   return *sites;
 }

@@ -44,11 +44,6 @@ inline constexpr const char* kWorkerProcess = "service.worker.process";
 /// is buffered; kWalSync before it reaches disk — both roll the accept
 /// back. kCheckpoint / kManifest interrupt checkpointing before the new
 /// manifest is published; kRecoveryReplay interrupts startup replay.
-/// Confidence-index rebuild (src/query/confidence_index.cc): fires inside
-/// the lazy zone-map rebuild, before the new map is installed, so tests can
-/// assert a failed rebuild never publishes a partial index and the planner
-/// degrades to row-exact pruning.
-inline constexpr const char* kIndexRebuild = "query.index_rebuild";
 inline constexpr const char* kWalAppend = "storage.wal_append";
 inline constexpr const char* kWalSync = "storage.wal_sync";
 inline constexpr const char* kCheckpoint = "storage.checkpoint";

@@ -32,6 +32,15 @@ std::string JoinStrings(const std::vector<std::string>& parts, std::string_view 
   return out;
 }
 
+std::string StrCat(std::initializer_list<std::string_view> parts) {
+  size_t size = 0;
+  for (std::string_view part : parts) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (std::string_view part : parts) out += part;
+  return out;
+}
+
 std::string ToLowerAscii(std::string_view s) {
   std::string out(s);
   for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));

@@ -6,6 +6,7 @@
 
 #include <cstdarg>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +18,11 @@ std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 
 /// Joins `parts` with `sep` ("a", "b" -> "a, b" for sep ", ").
 std::string JoinStrings(const std::vector<std::string>& parts, std::string_view sep);
+
+/// Concatenates `parts` by appending to one buffer. Prefer it to a chain
+/// that starts `"literal" + std::string`: GCC 12 at -O3 flags libstdc++'s
+/// inlined `const char* + std::string&&` with a false `-Wrestrict`.
+std::string StrCat(std::initializer_list<std::string_view> parts);
 
 /// Lowercases ASCII characters; non-ASCII bytes pass through unchanged.
 std::string ToLowerAscii(std::string_view s);

@@ -112,13 +112,10 @@ void PcqeEngine::AttachTelemetry(TelemetryRegistry* registry, Tracer* tracer) {
       "Rows the vectorized interpreter evaluated row-at-a-time (no kernel)");
   metrics_.pushdown_chunks_pruned = registry_->GetCounter(
       "pcqe_engine_pushdown_chunks_pruned_total",
-      "Whole column chunks skipped by beta pushdown via the confidence index");
+      "Whole column chunks skipped by beta pushdown via their confidence bounds");
   metrics_.pushdown_rows_pruned = registry_->GetCounter(
       "pcqe_engine_pushdown_rows_pruned_total",
       "Base rows pruned under scans by beta pushdown");
-  metrics_.index_rebuilds = registry_->GetCounter(
-      "pcqe_engine_index_rebuilds_total",
-      "Per-table confidence zone-map (re)builds for beta pushdown");
   metrics_.solve_seconds = registry_->GetHistogram(
       "pcqe_engine_solve_seconds", {0.0001, 0.001, 0.01, 0.1, 1.0, 10.0},
       "Strategy solve wall-clock seconds");
@@ -185,19 +182,13 @@ Result<QueryResult> PcqeEngine::Evaluate(const std::string& sql,
   ScopedSpan span(trace, "evaluate");
   PCQE_INJECT_FAULT(fault_sites::kEngineEvaluate);
   if (metrics_.queries != nullptr) metrics_.queries->Increment();
-  ConfidencePushdown pushdown;
-  const ConfidencePushdown* pd = nullptr;
-  if (pushdown_beta.has_value()) {
-    pushdown.beta = *pushdown_beta;
-    pushdown.index = &index_cache_;
-    pd = &pushdown;
-  }
   // The policy filter and the solvers consume confidences and lineage only;
   // value boxing is deferred until something displays rows (ReleasedTable /
   // ToTable / MaterializeValues) — the factorized engine's late
   // materialization.
   Result<QueryResult> result = RunQuery(*catalog_, sql, trace, execution_mode,
-                                        /*materialize_values=*/false, profile, pd);
+                                        /*materialize_values=*/false, profile,
+                                        pushdown_beta);
   if (result.ok() && profile != nullptr) ObserveOperatorSeconds(*profile);
   if (result.ok() && metrics_.vec_chunks != nullptr) {
     const VecExecStats& s = result->vec_stats;
@@ -228,19 +219,6 @@ std::optional<double> PcqeEngine::ResolvePushdownBeta(
   // β ≤ 0 prunes nothing (every confidence clears it) — evaluating unpushed
   // keeps policy-less queries bit-identical and cache-shareable.
   if (!decision.ok() || decision->threshold <= 0.0) return std::nullopt;
-  // Pre-warm the per-table confidence indexes here so rebuilds are counted
-  // once per version bump; a failed rebuild (fault injection, see
-  // fault_sites::kIndexRebuild) degrades the plan to row-exact pruning.
-  for (const std::string& name : tables) {
-    Result<const Table*> table =
-        static_cast<const Catalog*>(catalog_)->GetTable(name);
-    if (!table.ok()) continue;
-    bool rebuilt = false;
-    (void)index_cache_.Get(*catalog_, **table, &rebuilt);
-    if (rebuilt && metrics_.index_rebuilds != nullptr) {
-      metrics_.index_rebuilds->Increment();
-    }
-  }
   return decision->threshold;
 }
 

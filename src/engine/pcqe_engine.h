@@ -18,7 +18,6 @@
 #include "improve/improver.h"
 #include "policy/confidence_policy.h"
 #include "policy/rbac.h"
-#include "query/confidence_index.h"
 #include "query/query_engine.h"
 #include "relational/catalog.h"
 #include "strategy/solution.h"
@@ -69,9 +68,10 @@ struct QueryRequest {
   bool profile = false;
   /// Opt-out knob for β pushdown (`.pushdown off` in the shell). When true
   /// *and* the request qualifies (see `PcqeEngine::ResolvePushdownBeta`),
-  /// evaluation prunes sub-β base tuples below joins using per-table
-  /// confidence indexes — result-identical to post-filtering. When false the
-  /// engine always evaluates the full intermediate result.
+  /// evaluation prunes sub-β base tuples below joins, skipping whole column
+  /// chunks by their confidence bounds — result-identical to
+  /// post-filtering. When false the engine always evaluates the full
+  /// intermediate result.
   bool pushdown = true;
 };
 
@@ -211,7 +211,7 @@ class PcqeEngine {
   /// Step 1 alone: evaluates the SQL and computes result confidences. The
   /// returned `QueryResult` is user-independent (no policy applied), which
   /// makes it shareable across subjects — the service layer caches it keyed
-  /// on (normalized SQL, catalog confidence-version). When `trace` is
+  /// on (normalized SQL, catalog generation). When `trace` is
   /// non-null an "evaluate" span (with parse/plan/execute/lineage children)
   /// is added. A non-null `profile` collects per-operator statistics
   /// (`EXPLAIN ANALYZE`) and feeds the `pcqe_query_operator_seconds_*`
@@ -237,19 +237,10 @@ class PcqeEngine {
   ///    (`IsConfidencePushdownSafe`);
   ///  - the subject's resolved threshold β is > 0 (a zero threshold prunes
   ///    nothing — skipping keeps policy-less queries bit-identical).
-  /// Qualifying calls pre-warm the per-table confidence indexes (counted by
-  /// `pcqe_engine_index_rebuilds_total`). The service layer calls this under
-  /// the same shared lock as the cache lookup so the cache key can fork on
-  /// the pushdown mode.
+  /// The service layer calls this under the same shared lock as the cache
+  /// lookup so the cache key can fork on the pushdown mode.
   [[nodiscard]] std::optional<double> ResolvePushdownBeta(
       const QueryRequest& request) const PCQE_REQUIRES_SHARED(catalog_mu_);
-
-  /// The per-table confidence-index cache backing β pushdown. Exposed so
-  /// recovery paths can `Invalidate()` it: WAL replay restores durable
-  /// confidences while `RestoreConfidenceVersion` keeps the version
-  /// monotone, so a zone map built over unlogged post-crash mutations could
-  /// otherwise still validate against the replayed catalog.
-  ConfidenceIndexCache* confidence_index() const { return &index_cache_; }
 
   /// Steps 2-3 on an already-evaluated result: resolves the policy for the
   /// request's subject, filters, and runs strategy finding on a shortfall.
@@ -346,12 +337,11 @@ class PcqeEngine {
     Counter* vec_rows = nullptr;
     Counter* vec_join_groups = nullptr;
     Counter* vec_fallback_rows = nullptr;
-    /// β-pushdown counters: whole chunks skipped via the zone map
-    /// (vectorized engine only), rows pruned under scans (both engines),
-    /// and confidence-index (re)builds.
+    /// β-pushdown counters: whole chunks skipped by their confidence
+    /// bounds (vectorized engine only) and rows pruned under scans (both
+    /// engines).
     Counter* pushdown_chunks_pruned = nullptr;
     Counter* pushdown_rows_pruned = nullptr;
-    Counter* index_rebuilds = nullptr;
     /// `pcqe_solver_<field>_total`, in `SolverEffort::Items()` order.
     std::vector<Counter*> solver_effort;
     /// `pcqe_query_operator_seconds_<kind>`, keyed by lowercase operator
@@ -383,11 +373,6 @@ class PcqeEngine {
   StorageManager* storage_ = nullptr;      // borrowed; may be null
   AuditLog* audit_ = nullptr;              // borrowed; may be null
   EngineMetrics metrics_;
-  /// Lazily (re)built per-table confidence zone maps for β pushdown. The
-  /// cache has its own internal mutex (it must be consultable under the
-  /// shared read path), so it is *not* guarded by `catalog_mu_`; mutable
-  /// because `Evaluate`/`ResolvePushdownBeta` are const reads.
-  mutable ConfidenceIndexCache index_cache_;
 };
 
 }  // namespace pcqe

@@ -8,12 +8,14 @@ Status QualityImprover::Validate(const std::vector<IncrementAction>& actions) co
   // Nothing is written unless every action is applicable.
   for (const IncrementAction& a : actions) {
     PCQE_ASSIGN_OR_RETURN(Tuple t, catalog_->FindTuple(a.base_tuple));
-    if (a.to <= t.confidence() + kEpsilon) {
+    // Written as `!(lo < to && to <= hi)` so that a NaN target fails too:
+    // it would otherwise reach the WAL and then fail in `Apply`.
+    if (!(t.confidence() + kEpsilon < a.to)) {
       return Status::InvalidArgument(StrFormat(
           "improvement for tuple %llu targets %g but confidence is already %g",
           static_cast<unsigned long long>(a.base_tuple), a.to, t.confidence()));
     }
-    if (a.to > t.max_confidence() + kEpsilon) {
+    if (!(a.to <= t.max_confidence() + kEpsilon)) {
       return Status::InvalidArgument(StrFormat(
           "improvement for tuple %llu targets %g above its ceiling %g",
           static_cast<unsigned long long>(a.base_tuple), a.to, t.max_confidence()));

@@ -427,27 +427,27 @@ std::unique_ptr<Expr> Expr::Clone() const {
 std::string Expr::ToString() const {
   switch (kind_) {
     case ExprKind::kAggregate:
-      return AggFuncToString(agg_func_) + "(" + (left_ ? left_->ToString() : "*") + ")";
+      return StrCat({AggFuncToString(agg_func_), "(", left_ ? left_->ToString() : "*", ")"});
     case ExprKind::kLiteral:
-      return literal_.type() == DataType::kString ? "'" + literal_.ToString() + "'"
+      return literal_.type() == DataType::kString ? StrCat({"'", literal_.ToString(), "'"})
                                                   : literal_.ToString();
     case ExprKind::kColumnRef:
       return column_name_;
     case ExprKind::kUnary:
       switch (unary_op_) {
         case UnaryOp::kNot:
-          return "(NOT " + left_->ToString() + ")";
+          return StrCat({"(NOT ", left_->ToString(), ")"});
         case UnaryOp::kNegate:
-          return "(-" + left_->ToString() + ")";
+          return StrCat({"(-", left_->ToString(), ")"});
         case UnaryOp::kIsNull:
-          return "(" + left_->ToString() + " IS NULL)";
+          return StrCat({"(", left_->ToString(), " IS NULL)"});
         case UnaryOp::kIsNotNull:
-          return "(" + left_->ToString() + " IS NOT NULL)";
+          return StrCat({"(", left_->ToString(), " IS NOT NULL)"});
       }
       return "?";
     case ExprKind::kBinary:
-      return "(" + left_->ToString() + " " + BinaryOpToString(binary_op_) + " " +
-             right_->ToString() + ")";
+      return StrCat({"(", left_->ToString(), " ", BinaryOpToString(binary_op_), " ",
+                     right_->ToString(), ")"});
   }
   return "?";
 }

@@ -44,7 +44,10 @@ std::string PlanNode::Summary() const {
       break;
     case PlanKind::kFilter:
     case PlanKind::kJoin:
-      if (predicate) line += " " + predicate->ToString();
+      if (predicate) {
+        line += ' ';
+        line += predicate->ToString();
+      }
       break;
     case PlanKind::kProject: {
       std::vector<std::string> parts;
@@ -66,8 +69,7 @@ std::string PlanNode::Summary() const {
       line += StrFormat(" %lld", static_cast<long long>(limit));
       break;
     case PlanKind::kConfidencePrune:
-      line += StrFormat(" beta=%s%s", FormatDouble(prune_beta, 6).c_str(),
-                        zone_map != nullptr ? " zonemap" : "");
+      line += StrFormat(" beta=%s", FormatDouble(prune_beta, 6).c_str());
       break;
     case PlanKind::kAggregate: {
       std::vector<std::string> parts;
@@ -90,8 +92,11 @@ std::string PlanNode::Summary() const {
 std::string PlanNode::ToString(int indent) const {
   std::string pad(static_cast<size_t>(indent) * 2, ' ');
   std::string out = pad + Summary() + " -> " + output_schema.ToString();
-  if (left) out += "\n" + left->ToString(indent + 1);
-  if (right) out += "\n" + right->ToString(indent + 1);
+  for (const PlanNode* child : {left.get(), right.get()}) {
+    if (child == nullptr) continue;
+    out += '\n';
+    out += child->ToString(indent + 1);
+  }
   return out;
 }
 

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "query/confidence_index.h"
 #include "query/expression.h"
 #include "relational/table.h"
 
@@ -32,7 +31,7 @@ enum class PlanKind : uint8_t {
   /// confidence can never clear the policy threshold (confidence is monotone
   /// non-increasing under conjunction, so such tuples can only produce
   /// blocked rows). Inserted by the planner only when a request carries β
-  /// and the plan shape is pushdown-safe; see confidence_index.h.
+  /// and the plan shape is pushdown-safe; see planner.h.
   kConfidencePrune,
 };
 
@@ -84,11 +83,6 @@ struct PlanNode {
   /// confidence strictly clears it (the exact complement of the policy
   /// filter's blocking test, ε included).
   double prune_beta = 0.0;
-
-  /// kConfidencePrune: chunk-granular confidence bounds snapshotted at plan
-  /// time (shared so the plan keeps its snapshot across invalidations).
-  /// Null degrades to row-exact pruning — same results, no chunk skipping.
-  std::shared_ptr<const ConfidenceZoneMap> zone_map;
 
   /// kAggregate: one aggregate computation per synthetic `__agg<i>` output
   /// column.

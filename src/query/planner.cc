@@ -438,30 +438,21 @@ class Planner {
   const Catalog& catalog_;
 };
 
-/// Wraps every kScan in `plan` with a kConfidencePrune node carrying β and,
-/// when an index is available, a zone-map snapshot. A failed zone-map
-/// rebuild (fault injection) degrades to row-exact pruning rather than
-/// failing the query.
-void InsertConfidencePrunes(const Catalog& catalog,
-                            const ConfidencePushdown& pushdown,
+/// Wraps every kScan in `plan` with a kConfidencePrune node carrying β.
+void InsertConfidencePrunes(double beta,
                             std::unique_ptr<PlanNode>* node) {  // NOLINT(misc-no-recursion)
   PlanNode& plan = **node;
   if (plan.kind == PlanKind::kScan) {
     auto prune = std::make_unique<PlanNode>();
     prune->kind = PlanKind::kConfidencePrune;
     prune->output_schema = plan.output_schema;
-    prune->prune_beta = pushdown.beta;
-    if (pushdown.index != nullptr && plan.table != nullptr) {
-      Result<std::shared_ptr<const ConfidenceZoneMap>> map =
-          pushdown.index->Get(catalog, *plan.table);
-      if (map.ok()) prune->zone_map = std::move(*map);
-    }
+    prune->prune_beta = beta;
     prune->left = std::move(*node);
     *node = std::move(prune);
     return;
   }
-  if (plan.left) InsertConfidencePrunes(catalog, pushdown, &plan.left);
-  if (plan.right) InsertConfidencePrunes(catalog, pushdown, &plan.right);
+  if (plan.left) InsertConfidencePrunes(beta, &plan.left);
+  if (plan.right) InsertConfidencePrunes(beta, &plan.right);
 }
 
 }  // namespace
@@ -515,14 +506,14 @@ bool IsConfidencePushdownSafe(const PlanNode& plan) {  // NOLINT(misc-no-recursi
 
 Result<std::unique_ptr<PlanNode>> PlanQuery(const Catalog& catalog,
                                             const SelectStatement& stmt,
-                                            const ConfidencePushdown* pushdown) {
+                                            std::optional<double> pushdown_beta) {
   Planner planner(catalog);
   PCQE_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan, planner.Plan(stmt));
   // β ≤ 0 prunes nothing (confidences are ≥ 0 and the keep test is strict):
   // skip the wrap so policy-less requests execute the exact unpushed plan.
-  if (pushdown != nullptr && pushdown->beta > 0.0 &&
+  if (pushdown_beta.has_value() && *pushdown_beta > 0.0 &&
       IsConfidencePushdownSafe(*plan)) {
-    InsertConfidencePrunes(catalog, *pushdown, &plan);
+    InsertConfidencePrunes(*pushdown_beta, &plan);
   }
   return plan;
 }

@@ -5,6 +5,7 @@
 #define PCQE_QUERY_PLANNER_H_
 
 #include <memory>
+#include <optional>
 
 #include "common/result.h"
 #include "query/ast.h"
@@ -28,15 +29,15 @@ namespace pcqe {
 /// Errors are `kBindError` (unknown table/column, type mismatch, set-op
 /// arity mismatch) or propagate from expression binding.
 ///
-/// When `pushdown` is non-null and the plan is pushdown-safe (see
+/// When `pushdown_beta` is set above 0 and the plan is pushdown-safe (see
 /// `IsConfidencePushdownSafe`), every base-table scan is wrapped in a
-/// `kConfidencePrune` node carrying `pushdown->beta` and — when
-/// `pushdown->index` is set and its rebuild succeeds — a zone-map snapshot
-/// for chunk skipping. An unsafe shape leaves the plan untouched, so the
-/// pushed and unpushed plans stay result-identical by construction.
+/// `kConfidencePrune` node carrying that β; the vectorized executor skips
+/// chunks by the bounds each column chunk keeps. An unsafe shape leaves the
+/// plan untouched, so the pushed and unpushed plans stay result-identical
+/// by construction.
 [[nodiscard]] Result<std::unique_ptr<PlanNode>> PlanQuery(
     const Catalog& catalog, const SelectStatement& stmt,
-    const ConfidencePushdown* pushdown = nullptr);
+    std::optional<double> pushdown_beta = std::nullopt);
 
 /// True iff pruning sub-β base tuples below this plan cannot change the
 /// post-filter released set: every operator either keeps per-row confidence

@@ -124,7 +124,7 @@ bool ContainsConfidencePrune(const PlanNode& plan) {  // NOLINT(misc-no-recursio
 Result<QueryResult> RunQuery(const Catalog& catalog, const std::string& sql,
                              TraceBuilder* trace, ExecutionMode mode,
                              bool materialize_values, OperatorProfile* profile,
-                             const ConfidencePushdown* pushdown) {
+                             std::optional<double> pushdown_beta) {
   if (profile != nullptr) profile->mode = ExecutionModeToString(mode);
   std::unique_ptr<SelectStatement> stmt;
   {
@@ -134,7 +134,7 @@ Result<QueryResult> RunQuery(const Catalog& catalog, const std::string& sql,
   std::unique_ptr<PlanNode> plan;
   {
     ScopedSpan span(trace, "plan");
-    PCQE_ASSIGN_OR_RETURN(plan, PlanQuery(catalog, *stmt, pushdown));
+    PCQE_ASSIGN_OR_RETURN(plan, PlanQuery(catalog, *stmt, pushdown_beta));
   }
 
   QueryResult result;

@@ -5,6 +5,7 @@
 #define PCQE_QUERY_QUERY_ENGINE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -126,7 +127,7 @@ struct QueryResult {
 /// inherently materialized). A non-null `profile` enables `EXPLAIN ANALYZE`
 /// collection: the executor records one `OperatorProfile` node per operator
 /// (rows, chunks, factors, arena nodes, wall time); null (the default) keeps
-/// the hot path allocation-free. A non-null `pushdown` asks the planner to
+/// the hot path allocation-free. A set `pushdown_beta` asks the planner to
 /// prune sub-β base tuples below joins when the plan shape allows it (see
 /// planner.h) — result-identical to post-filtering by monotonicity, checked
 /// continuously by tests/planner_pushdown_test.cc.
@@ -135,7 +136,7 @@ struct QueryResult {
                                            ExecutionMode mode = ExecutionMode::kVectorized,
                                            bool materialize_values = true,
                                            OperatorProfile* profile = nullptr,
-                                           const ConfidencePushdown* pushdown = nullptr);
+                                           std::optional<double> pushdown_beta = std::nullopt);
 
 }  // namespace pcqe
 

@@ -422,36 +422,25 @@ Result<VecResult> VectorExecutor::RunConfidencePrune(const PlanNode& plan) {
   const TableColumnData& data = table->column_data();
   tables_by_id_[table->table_id()] = table;
 
-  // Zone-map bounds are only trusted when they describe exactly this data
-  // (the cache validates version and row count at plan time; re-checking the
-  // shape here keeps a stale snapshot from ever skipping live rows).
-  const ConfidenceZoneMap* zones = plan.zone_map.get();
-  if (zones != nullptr && (zones->num_rows != data.num_rows() ||
-                           zones->chunks.size() != data.num_chunks())) {
-    zones = nullptr;
-  }
-
   VecFactor factor;
   factor.table = table;
   factor.sel.reserve(data.num_rows());
   for (size_t c = 0; c < data.num_chunks(); ++c) {
     const std::vector<double>& conf = data.confidence_chunk(c);
     auto base = static_cast<uint32_t>(c * kColumnChunkCapacity);
-    if (zones != nullptr) {
-      // Keep test: conf > β + ε (the exact complement of the policy filter's
-      // blocking test). Chunk max at or below the bar → nothing survives.
-      if (!(zones->chunks[c].max > plan.prune_beta + kEpsilon)) {
-        ++stats_.pruned_chunks;
-        stats_.pruned_rows += conf.size();
-        continue;
-      }
-      if (zones->chunks[c].min > plan.prune_beta + kEpsilon) {
-        // Whole chunk clears the bar: emit without per-row tests.
-        ++stats_.chunks_scanned;
-        stats_.rows_scanned += conf.size();
-        for (uint32_t i = 0; i < conf.size(); ++i) factor.sel.push_back(base + i);
-        continue;
-      }
+    // Keep test: conf > β + ε (the exact complement of the policy filter's
+    // blocking test). Chunk max at or below the bar → nothing survives.
+    if (!(data.conf_max(c) > plan.prune_beta + kEpsilon)) {
+      ++stats_.pruned_chunks;
+      stats_.pruned_rows += conf.size();
+      continue;
+    }
+    if (data.conf_min(c) > plan.prune_beta + kEpsilon) {
+      // Whole chunk clears the bar: emit without per-row tests.
+      ++stats_.chunks_scanned;
+      stats_.rows_scanned += conf.size();
+      for (uint32_t i = 0; i < conf.size(); ++i) factor.sel.push_back(base + i);
+      continue;
     }
     ++stats_.chunks_scanned;
     for (uint32_t i = 0; i < conf.size(); ++i) {

@@ -187,8 +187,8 @@ class VectorExecutor {
   [[nodiscard]] Result<VecResult> RunScan(const PlanNode& plan);
   /// β pushdown over a scan child, fused: builds the selection vector
   /// straight from the confidence chunks, skipping whole chunks whose
-  /// zone-map max cannot clear β and keeping whole chunks whose min already
-  /// does (no per-row test either way).
+  /// confidence max cannot clear β and keeping whole chunks whose min
+  /// already does (no per-row test either way).
   [[nodiscard]] Result<VecResult> RunConfidencePrune(const PlanNode& plan);
   [[nodiscard]] Result<VecResult> RunFilter(const PlanNode& plan);
   [[nodiscard]] Result<VecResult> RunProject(const PlanNode& plan);

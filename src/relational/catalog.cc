@@ -28,11 +28,12 @@ Result<Table*> Catalog::CreateTableWithId(const std::string& name, Schema schema
                     table->name().c_str()));
     }
   }
-  auto table = std::make_unique<Table>(name, std::move(schema), table_id);
+  auto table = std::make_unique<Table>(name, std::move(schema), table_id, &generation_);
   Table* raw = table.get();
   tables_.emplace(std::move(key), std::move(table));
   creation_order_.push_back(name);
   if (table_id >= next_table_id_) next_table_id_ = table_id + 1;
+  generation_.Bump();
   return raw;
 }
 
@@ -62,6 +63,7 @@ Status Catalog::DropTable(const std::string& name) {
       std::remove_if(creation_order_.begin(), creation_order_.end(),
                      [&](const std::string& n) { return Key(n) == Key(name); }),
       creation_order_.end());
+  generation_.Bump();
   return Status::OK();
 }
 
@@ -81,6 +83,7 @@ void Catalog::Clear() {
   creation_order_.clear();
   next_table_id_ = 1;
   confidence_version_.store(0, std::memory_order_release);
+  generation_.Bump();
 }
 
 Result<Tuple> Catalog::FindTuple(BaseTupleId id) const {
@@ -98,6 +101,7 @@ Status Catalog::SetConfidence(BaseTupleId id, double confidence) {
   for (auto& [key, table] : tables_) {
     (void)key;
     if (table->table_id() == table_id) {
+      // The table bumps `generation_`.
       PCQE_RETURN_NOT_OK(table->SetConfidence(id, confidence));
       confidence_version_.fetch_add(1, std::memory_order_release);
       return Status::OK();

@@ -59,13 +59,22 @@ class Catalog {
   [[nodiscard]] Result<Tuple> FindTuple(BaseTupleId id) const;
 
   /// Sets the confidence of the identified tuple (improvement component).
-  /// Every successful write bumps `confidence_version()`.
+  /// Every successful write bumps `confidence_version()` and `generation()`.
   [[nodiscard]] Status SetConfidence(BaseTupleId id, double confidence);
 
-  /// Monotone counter of committed confidence writes. Cross-request caches
-  /// key result sets on this value: a bump invalidates every entry computed
-  /// against the older confidences without the catalog knowing about any
-  /// cache. Safe to read concurrently with `SetConfidence`.
+  /// Monotone count of catalog writes, kept in memory only: `CreateTable`,
+  /// `DropTable`, `Clear`, and every `Insert` and `SetConfidence` on a table
+  /// this catalog created bump it, and nothing resets it. Anything derived
+  /// from catalog contents (the service's result cache) keys on it, so an
+  /// entry computed before any write simply stops matching. Read it under
+  /// the same lock as the data it stamps.
+  [[nodiscard]] uint64_t generation() const { return generation_.value(); }
+
+  /// Counter of committed confidence writes, persisted by snapshots and
+  /// asserted record by record by WAL replay. `Clear()` resets it so a
+  /// recovery reproduces it exactly, so it can repeat a value with other
+  /// confidences behind it: caches key on `generation()` instead. Safe to
+  /// read concurrently with `SetConfidence`.
   [[nodiscard]] uint64_t confidence_version() const {
     return confidence_version_.load(std::memory_order_acquire);
   }
@@ -79,7 +88,7 @@ class Catalog {
 
   /// Drops every table and resets id assignment and `confidence_version()`
   /// to the initial state, so a recovery can rebuild this catalog in place
-  /// from a checkpoint + WAL replay.
+  /// from a checkpoint + WAL replay. `generation()` moves on.
   void Clear();
 
  private:
@@ -91,6 +100,7 @@ class Catalog {
   uint32_t next_table_id_ = 1;
   // A version, not a stat counter:
   std::atomic<uint64_t> confidence_version_{0};  // pcqe-lint: allow(telemetry)
+  CatalogGeneration generation_;
 };
 
 }  // namespace pcqe

@@ -1,5 +1,7 @@
 #include "relational/column_chunk.h"
 
+#include <algorithm>
+
 namespace pcqe {
 
 Value ColumnChunk::ValueAt(size_t i) const {
@@ -70,10 +72,31 @@ void TableColumnData::AppendRow(const std::vector<Value>& values, double confide
   }
   Chunk& chunk = *chunks_.back();
   for (size_t c = 0; c < values.size(); ++c) chunk.cols[c].Append(values[c]);
+  chunk.conf_min = std::min(chunk.conf_min, confidence);
+  chunk.conf_max = std::max(chunk.conf_max, confidence);
   chunk.confidences.push_back(confidence);
   chunk.max_confidences.push_back(max_confidence);
   chunk.costs.push_back(std::move(cost));
   ++num_rows_;
+}
+
+void TableColumnData::StoreConfidence(size_t row, double confidence) {
+  PCQE_DCHECK(row < num_rows_);
+  Chunk& chunk = *chunks_[ChunkOf(row)];
+  double& slot = chunk.confidences[OffsetOf(row)];
+  const double old = slot;
+  slot = confidence;
+  if ((old == chunk.conf_min && confidence > old) ||
+      (old == chunk.conf_max && confidence < old)) {
+    // A bound moved inward and may no longer be attained.
+    const auto [lo, hi] =
+        std::minmax_element(chunk.confidences.begin(), chunk.confidences.end());
+    chunk.conf_min = *lo;
+    chunk.conf_max = *hi;
+    return;
+  }
+  chunk.conf_min = std::min(chunk.conf_min, confidence);
+  chunk.conf_max = std::max(chunk.conf_max, confidence);
 }
 
 }  // namespace pcqe

@@ -115,6 +115,12 @@ class TableColumnData {
     return chunks_[chunk_index]->confidences;
   }
 
+  /// Smallest and largest confidence of chunk `chunk_index`: β pushdown's
+  /// chunk bounds. Written by `AppendRow` and `StoreConfidence` together
+  /// with the confidences themselves, so they always equal a rescan.
+  double conf_min(size_t chunk_index) const { return chunks_[chunk_index]->conf_min; }
+  double conf_max(size_t chunk_index) const { return chunks_[chunk_index]->conf_max; }
+
   /// Confidence of table row `row`.
   double confidence(size_t row) const {
     return chunks_[ChunkOf(row)]->confidences[OffsetOf(row)];
@@ -146,11 +152,10 @@ class TableColumnData {
                  double max_confidence, CostFunctionPtr cost);
 
   /// Stores a validated, clamped confidence (called by
-  /// `Table::SetConfidence`).
-  void StoreConfidence(size_t row, double confidence) {
-    PCQE_DCHECK(row < num_rows_);
-    chunks_[ChunkOf(row)]->confidences[OffsetOf(row)] = confidence;
-  }
+  /// `Table::SetConfidence`) and keeps its chunk's bounds exact: a value
+  /// outside them widens them; overwriting a bound with a value inside them
+  /// rescans that one chunk.
+  void StoreConfidence(size_t row, double confidence);
 
  private:
   struct Chunk {
@@ -158,6 +163,9 @@ class TableColumnData {
     std::vector<double> confidences;
     std::vector<double> max_confidences;
     std::vector<CostFunctionPtr> costs;
+    // Start empty-inverted: the first row's confidence, in [0, 1], sets both.
+    double conf_min = 1.0;
+    double conf_max = 0.0;
   };
 
   std::vector<DataType> column_types_;

@@ -10,24 +10,31 @@
 namespace pcqe {
 
 Result<std::vector<std::vector<std::string>>> ParseCsv(const std::string& text,
-                                                       char delimiter) {
+                                                       char delimiter,
+                                                       std::vector<std::vector<bool>>* quoted) {
   std::vector<std::vector<std::string>> rows;
   std::vector<std::string> row;
+  std::vector<bool> quoted_row;
   std::string field;
   bool in_quotes = false;
   bool field_started = false;  // row has content (handles trailing newline)
+  bool field_quoted = false;
 
   size_t i = 0;
   const size_t n = text.size();
   auto end_field = [&]() {
     row.push_back(std::move(field));
+    quoted_row.push_back(field_quoted);
     field.clear();
     field_started = false;
+    field_quoted = false;
   };
   auto end_row = [&]() {
     end_field();
     rows.push_back(std::move(row));
     row.clear();
+    if (quoted != nullptr) quoted->push_back(std::move(quoted_row));
+    quoted_row.clear();
   };
 
   while (i < n) {
@@ -50,6 +57,7 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(const std::string& text,
     if (c == '"') {
       in_quotes = true;
       field_started = true;
+      field_quoted = true;
       ++i;
       continue;
     }
@@ -156,13 +164,17 @@ void AppendCsvField(std::string* out, std::string_view field, char delimiter) {
 }
 
 void AppendCsvCell(std::string* out, const ColumnChunk& chunk, size_t offset,
-                   CsvDoubleFormat doubles, char delimiter) {
+                   char delimiter) {
   if (chunk.IsNull(offset)) return;
   const size_t start = out->size();
   switch (chunk.type()) {
     case DataType::kNull:
       return;
     case DataType::kString:
+      if (chunk.StringAt(offset).empty()) {
+        *out += "\"\"";  // '' is quoted; an empty field is NULL
+        return;
+      }
       AppendCsvField(out, chunk.StringAt(offset), delimiter);
       return;
     case DataType::kBool:
@@ -172,11 +184,7 @@ void AppendCsvCell(std::string* out, const ColumnChunk& chunk, size_t offset,
       AppendInt(out, chunk.IntAt(offset));
       break;
     case DataType::kDouble:
-      if (doubles == CsvDoubleFormat::kExact) {
-        AppendDouble(out, chunk.DoubleAt(offset), 17);
-      } else {
-        AppendFormattedDouble(out, chunk.DoubleAt(offset));
-      }
+      AppendDouble(out, chunk.DoubleAt(offset), 17);
       break;
   }
   // Digits and booleans need quotes only under an unusual delimiter.
@@ -189,7 +197,8 @@ void AppendCsvCell(std::string* out, const ColumnChunk& chunk, size_t offset,
 
 Result<Table*> ImportCsv(Catalog* catalog, const std::string& table_name,
                          const std::string& csv_text, const CsvOptions& options) {
-  PCQE_ASSIGN_OR_RETURN(auto rows, ParseCsv(csv_text, options.delimiter));
+  std::vector<std::vector<bool>> quoted;
+  PCQE_ASSIGN_OR_RETURN(auto rows, ParseCsv(csv_text, options.delimiter, &quoted));
   if (rows.empty()) return Status::InvalidArgument("CSV input has no rows");
 
   std::vector<std::string> header;
@@ -236,6 +245,12 @@ Result<Table*> ImportCsv(Catalog* catalog, const std::string& table_name,
   }
 
   PCQE_ASSIGN_OR_RETURN(Table * table, catalog->CreateTable(table_name, schema));
+  // A bad row fails the whole import: the table goes again, so a retry with
+  // a fixed file starts from where this call started.
+  auto fail = [&](Status error) {
+    (void)catalog->DropTable(table_name);
+    return error;
+  };
 
   for (size_t r = 0; r < data.size(); ++r) {
     std::vector<Value> values;
@@ -243,7 +258,11 @@ Result<Table*> ImportCsv(Catalog* catalog, const std::string& table_name,
     for (size_t out_c = 0; out_c < value_cols.size(); ++out_c) {
       const std::string& field = data[r][value_cols[out_c]];
       if (field.empty()) {
-        values.push_back(Value::Null());
+        // A quoted empty field is '' in a VARCHAR column; anything else
+        // empty is NULL.
+        const bool quoted_empty = quoted[r + data_begin][value_cols[out_c]] &&
+                                  schema.column(out_c).type == DataType::kString;
+        values.push_back(quoted_empty ? Value::String("") : Value::Null());
         continue;
       }
       switch (schema.column(out_c).type) {
@@ -273,14 +292,14 @@ Result<Table*> ImportCsv(Catalog* catalog, const std::string& table_name,
     if (conf_col < header.size()) {
       const std::string& field = data[r][conf_col];
       if (!field.empty() && !ParseDouble(field, &confidence)) {
-        return Status::InvalidArgument(
+        return fail(Status::InvalidArgument(
             StrFormat("row %zu: confidence '%s' is not numeric", r + data_begin + 1,
-                      field.c_str()));
+                      field.c_str())));
       }
     }
     auto inserted = table->Insert(std::move(values), confidence, options.default_cost);
     if (!inserted.ok()) {
-      return inserted.status().WithContext(StrFormat("CSV row %zu", r + data_begin + 1));
+      return fail(inserted.status().WithContext(StrFormat("CSV row %zu", r + data_begin + 1)));
     }
   }
   return table;
@@ -316,11 +335,11 @@ std::string ExportCsv(const Table& table, const CsvOptions& options) {
     for (size_t i = 0; i < confidences.size(); ++i) {
       for (size_t c = 0; c < ncols; ++c) {
         if (c > 0) out += d;
-        AppendCsvCell(&out, data.chunk(c, ch), i, CsvDoubleFormat::kDisplay, d);
+        AppendCsvCell(&out, data.chunk(c, ch), i, d);
       }
       if (!options.confidence_column.empty()) {
         if (ncols > 0) out += d;
-        AppendFormattedDouble(&out, confidences[i]);
+        AppendDouble(&out, confidences[i], 17);
       }
       out += '\n';
     }

@@ -34,8 +34,11 @@ struct CsvOptions {
 /// `""` escapes a quote, and quoted fields may contain delimiters and
 /// newlines. Column types are inferred from the data: a column whose
 /// non-empty fields all parse as integers is BIGINT, all-numeric is DOUBLE,
-/// all true/false is BOOLEAN, anything else VARCHAR; empty fields import as
-/// NULL. A file with no data rows yields an all-VARCHAR table.
+/// all true/false is BOOLEAN, anything else VARCHAR (a quoted empty field
+/// `""` counts as empty here). Empty fields import as NULL, except that a
+/// quoted empty field in a VARCHAR column is the empty string. A file with
+/// no data rows yields an all-VARCHAR table. On any error no table is left
+/// behind.
 [[nodiscard]] Result<Table*> ImportCsv(Catalog* catalog, const std::string& table_name,
                          const std::string& csv_text, const CsvOptions& options = {});
 
@@ -43,34 +46,34 @@ struct CsvOptions {
 [[nodiscard]] Result<Table*> ImportCsvFile(Catalog* catalog, const std::string& table_name,
                              const std::string& path, const CsvOptions& options = {});
 
-/// \brief Serializes `table` as CSV (quoting fields when needed).
+/// \brief Serializes `table` as CSV (quoting fields when needed), in the
+/// form `ImportCsv` reads back exactly: NULL is an empty field, '' is `""`,
+/// and DOUBLE cells and confidences carry 17 significant digits.
 std::string ExportCsv(const Table& table, const CsvOptions& options = {});
 
 /// Writes `ExportCsv(table)` to `path`.
 [[nodiscard]] Status ExportCsvFile(const Table& table, const std::string& path,
                      const CsvOptions& options = {});
 
-/// Splits raw CSV text into rows of fields (exposed for tests).
-[[nodiscard]] Result<std::vector<std::vector<std::string>>> ParseCsv(const std::string& text,
-                                                       char delimiter = ',');
+/// Splits raw CSV text into rows of fields. When `quoted` is non-null it
+/// receives, aligned with the fields, whether each one was quoted, which
+/// tells `""` from an empty field.
+[[nodiscard]] Result<std::vector<std::vector<std::string>>> ParseCsv(
+    const std::string& text, char delimiter = ',',
+    std::vector<std::vector<bool>>* quoted = nullptr);
 
 /// Appends one field for CSV output to `out`: quoted (with `""` for each
 /// quote) when it contains the delimiter, quotes or newlines, untouched
 /// otherwise.
 void AppendCsvField(std::string* out, std::string_view field, char delimiter = ',');
 
-/// How `AppendCsvCell` prints DOUBLE cells.
-enum class CsvDoubleFormat {
-  kDisplay,  ///< as `FormatDouble` prints them (`ExportCsv`)
-  kExact,    ///< 17 significant digits, which read back bit for bit (snapshots)
-};
-
 /// \brief Appends cell `offset` of `chunk` to `out` as one CSV field,
 /// straight from the typed array: empty for NULL, `true`/`false`, the
-/// integer's digits, the double per `doubles`, or the string, each quoted
-/// when it needs it. Writes no line end and no delimiter.
+/// integer's digits, the double with 17 significant digits (which reads
+/// back bit for bit), or the string, quoted when it needs it and `""` when
+/// empty. Writes no line end and no delimiter.
 void AppendCsvCell(std::string* out, const ColumnChunk& chunk, size_t offset,
-                   CsvDoubleFormat doubles, char delimiter = ',');
+                   char delimiter = ',');
 
 }  // namespace pcqe
 

@@ -69,8 +69,11 @@ Result<uint64_t> ParseU64Field(const std::string& field, const char* what) {
   return static_cast<uint64_t>(v);
 }
 
-Result<Value> ParseTypedValue(const std::string& field, DataType type) {
-  if (field.empty()) return Value::Null();
+/// `quoted` tells '' (`""`) from NULL (an empty field) in a VARCHAR column.
+Result<Value> ParseTypedValue(const std::string& field, bool quoted, DataType type) {
+  if (field.empty()) {
+    return quoted && type == DataType::kString ? Value::String("") : Value::Null();
+  }
   char* end = nullptr;
   switch (type) {
     case DataType::kBool:
@@ -136,7 +139,7 @@ Status SaveDatabase(const Catalog& catalog, const std::string& dir) {
       const size_t ch = TableColumnData::ChunkOf(row);
       const size_t i = TableColumnData::OffsetOf(row);
       for (size_t c = 0; c < data.num_columns(); ++c) {
-        AppendCsvCell(&csv, data.chunk(c, ch), i, CsvDoubleFormat::kExact);
+        AppendCsvCell(&csv, data.chunk(c, ch), i);
         csv += ',';
       }
       AppendDouble(&csv, data.confidence(row), 17);
@@ -248,7 +251,8 @@ Status LoadDatabase(const std::string& dir, Catalog* catalog) {
 
     // Rows.
     PCQE_ASSIGN_OR_RETURN(std::string csv, ReadFile(dir + "/" + name + ".csv"));
-    PCQE_ASSIGN_OR_RETURN(auto rows, ParseCsv(csv));
+    std::vector<std::vector<bool>> quoted;
+    PCQE_ASSIGN_OR_RETURN(auto rows, ParseCsv(csv, ',', &quoted));
     const size_t ncols = schema.num_columns();
     const size_t expected = ncols + 3;  // + confidence, max, cost
     for (size_t r = 1; r < rows.size(); ++r) {  // rows[0] is the header
@@ -260,7 +264,7 @@ Status LoadDatabase(const std::string& dir, Catalog* catalog) {
       std::vector<Value> values;
       values.reserve(ncols);
       for (size_t c = 0; c < ncols; ++c) {
-        auto v = ParseTypedValue(rows[r][c], schema.column(c).type);
+        auto v = ParseTypedValue(rows[r][c], quoted[r][c], schema.column(c).type);
         if (!v.ok()) {
           return v.status().WithContext(
               StrFormat("table '%s' row %zu column '%s'", name.c_str(), r,

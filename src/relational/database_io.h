@@ -22,7 +22,8 @@ namespace pcqe {
 ///   `__confidence`, `__max_confidence` and `__cost` (the cost function in
 ///   its `ToString` form, e.g. `exponential(a=2, b=3)`, but with 17
 ///   significant digits per parameter). DOUBLE cells and the confidences
-///   carry 17 significant digits too, so a reload is bit-exact.
+///   carry 17 significant digits too, and an empty VARCHAR is written `""`
+///   while NULL is an empty field, so a reload is exact.
 ///
 /// `dir` must already exist; files are overwritten.
 [[nodiscard]] Status SaveDatabase(const Catalog& catalog, const std::string& dir);

@@ -34,11 +34,12 @@ Result<BaseTupleId> Table::Insert(std::vector<Value> values, double confidence,
           DataTypeToString(values[i].type()).c_str()));
     }
   }
-  if (confidence < 0.0 || confidence > 1.0) {
+  // Written as `!(lo <= c && c <= hi)` so that NaN fails them too.
+  if (!(0.0 <= confidence && confidence <= 1.0)) {
     return Status::InvalidArgument(
         StrFormat("confidence %g outside [0, 1]", confidence));
   }
-  if (max_confidence < confidence || max_confidence > 1.0) {
+  if (!(confidence <= max_confidence && max_confidence <= 1.0)) {
     return Status::InvalidArgument(StrFormat(
         "max_confidence %g must lie in [confidence=%g, 1]", max_confidence, confidence));
   }
@@ -51,6 +52,7 @@ Result<BaseTupleId> Table::Insert(std::vector<Value> values, double confidence,
   // annotations as given.
   columns_.AppendRow(values, confidence, max_confidence,
                      cost ? std::move(cost) : DefaultCostFunction());
+  if (generation_ != nullptr) generation_->Bump();
   return tuple(row).id();
 }
 
@@ -76,12 +78,13 @@ Result<Tuple> Table::FindTuple(BaseTupleId id) const {
 Status Table::SetConfidence(BaseTupleId id, double confidence) {
   PCQE_ASSIGN_OR_RETURN(size_t row, RowOf(id));
   const double ceiling = columns_.max_confidence(row);
-  if (confidence < 0.0 || confidence > ceiling + kEpsilon) {
+  if (!(0.0 <= confidence && confidence <= ceiling + kEpsilon)) {
     return Status::InvalidArgument(
         StrFormat("confidence %g outside [0, max=%g] for tuple %llu", confidence,
                   ceiling, static_cast<unsigned long long>(id)));
   }
   columns_.StoreConfidence(row, std::min(confidence, ceiling));
+  if (generation_ != nullptr) generation_->Bump();
   return Status::OK();
 }
 

@@ -78,11 +78,6 @@ QueryService::QueryService(PcqeEngine* engine, ServiceOptions options)
       storage_ = owned_storage_.get();
       storage_->AttachTelemetry(registry_);
       engine_->AttachStorage(storage_);
-      // Anything cached — evaluations and confidence zone maps — predates
-      // the recovered state, and the monotone confidence version cannot be
-      // trusted to have moved across a replay.
-      cache_.Clear();
-      engine_->confidence_index()->Invalidate();
     } else {
       durability_status_ = opened.WithContext("durable storage failed to open");
       owned_storage_.reset();
@@ -233,10 +228,10 @@ Result<QueryOutcome> QueryService::Execute(const SessionHandle& session,
     // call targets must both spell `engine_->`.
     ReaderLock lock(engine_->catalog_mu());
 
-    // The version is read under the same shared lock as the evaluation, so
-    // a cached entry can never mix confidences from before and after an
-    // interleaved Accept.
-    uint64_t version = engine_->catalog()->confidence_version();
+    // The generation is read under the same shared lock as the evaluation,
+    // so a cached entry can never mix catalog states from before and after
+    // an interleaved write.
+    uint64_t generation = engine_->catalog()->generation();
 
     QueryRequest engine_request;
     engine_request.sql = request.sql;
@@ -266,7 +261,7 @@ Result<QueryOutcome> QueryService::Execute(const SessionHandle& session,
     if (profile == nullptr) {
       ScopedSpan lookup_span(tb, "cache-lookup");
       PCQE_INJECT_FAULT(fault_sites::kCacheLookup);
-      evaluated = cache_.Lookup(key, version);
+      evaluated = cache_.Lookup(key, generation);
       lookup_span.Annotate("hit", evaluated != nullptr ? "true" : "false");
     }
     if (evaluated == nullptr) {
@@ -276,7 +271,7 @@ Result<QueryOutcome> QueryService::Execute(const SessionHandle& session,
       // Cached as evaluated, lineage still deferred: the entry is never
       // written after this. A completion that needs formulas boxes them into
       // its own copy's arena (QueryResult::MaterializeLineage).
-      evaluated = cache_.Insert(key, version, std::move(fresh));
+      evaluated = cache_.Insert(key, generation, std::move(fresh));
     }
 
     if (options_.adaptive_solver_lanes) {
@@ -366,8 +361,8 @@ Status QueryService::Accept(const StrategyProposal& proposal) {
   // beats committing confidence changes that would vanish on restart.
   if (!durability_status_.ok()) return durability_status_;
   // Exclusive: the single writer. AcceptProposal routes every confidence
-  // write through Catalog::SetConfidence, which bumps the version and thus
-  // retires all cached evaluations keyed on the old one.
+  // write through Catalog::SetConfidence, which bumps the generation and
+  // thus retires all cached evaluations keyed on the old one.
   WriterLock lock(engine_->catalog_mu());
   return engine_->AcceptProposal(proposal);
 }
@@ -393,14 +388,6 @@ Status QueryService::Recover() {
     WriterLock lock(engine_->catalog_mu());
     recovered = storage_->Recover();
   }
-  // Even a failed recovery may have partially rewritten the catalog;
-  // entries keyed on pre-recovery versions must not be served either way.
-  // The confidence index needs the same treatment: replay restores durable
-  // confidences but `RestoreConfidenceVersion` is monotone, so a zone map
-  // built over unlogged pre-crash mutations could still validate — and a
-  // stale map may wrongly *skip* rows, not just over-scan.
-  cache_.Clear();
-  engine_->confidence_index()->Invalidate();
   return recovered;
 }
 

@@ -23,8 +23,10 @@
 //   * The engine's `catalog_mu()` is a reader–writer lock over all
 //     engine/catalog state. Workers execute the engine's const read path
 //     under a shared lock; `Accept` — the only mutator, wrapping
-//     `PcqeEngine::AcceptProposal` — takes it exclusively and implicitly
-//     invalidates the cache by bumping `Catalog::confidence_version()`.
+//     `PcqeEngine::AcceptProposal` — takes it exclusively. The cache keys
+//     on `Catalog::generation()`, which every catalog write bumps (accepts,
+//     inserts, table creation, snapshot loads, recovery), so no write ever
+//     has to clear it.
 //     Under clang the engine's `PCQE_REQUIRES*` annotations make this
 //     discipline compile-checked (see common/annotations.h).
 //   * Role/policy *configuration* must be complete before requests are
@@ -180,7 +182,7 @@ class QueryService {
                                             ServiceRequest request);
 
   /// Applies an improvement proposal under the engine's exclusive catalog
-  /// lock. The confidence-version bump makes every cached evaluation stale.
+  /// lock. The generation bump makes every cached evaluation stale.
   /// With durability configured the accept is WAL-logged (and synced)
   /// before any confidence changes; a durability failure rejects it whole.
   [[nodiscard]] Status Accept(const StrategyProposal& proposal);
@@ -188,9 +190,9 @@ class QueryService {
   /// Durability entry points; `kInvalidArgument` when `ServiceOptions`
   /// configured no storage. `Checkpoint` snapshots the catalog and rotates
   /// the WAL under a shared catalog hold; `Recover` rebuilds the catalog
-  /// from disk under an exclusive hold (discarding non-durable state) and
-  /// drops every cached evaluation — entries keyed on the pre-recovery
-  /// version must never be served against replayed confidences.
+  /// from disk under an exclusive hold (discarding non-durable state). The
+  /// rebuild bumps the catalog generation, so no evaluation cached before
+  /// it is served after it.
   [[nodiscard]] Status Checkpoint();
   [[nodiscard]] Status Recover();
 
@@ -211,15 +213,6 @@ class QueryService {
 
   /// Requests currently waiting for a worker.
   [[nodiscard]] size_t queue_depth() const;
-
-  /// Drops every cached evaluation and confidence zone map (after
-  /// out-of-band catalog edits such as bulk loads, which do not bump the
-  /// confidence version — exactly the edits a version-validated index
-  /// cannot detect).
-  void InvalidateCache() {
-    cache_.Clear();
-    engine_->confidence_index()->Invalidate();
-  }
 
   size_t num_workers() const { return workers_.size(); }
   const ServiceOptions& options() const { return options_; }

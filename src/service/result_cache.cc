@@ -31,14 +31,12 @@ void ConfidenceResultCache::AttachTelemetry(TelemetryRegistry* registry) {
                                          "Confidence-result cache lookup misses");
   evictions_counter_ = registry->GetCounter(
       "pcqe_cache_evictions_total", "Entries evicted by the LRU capacity bound");
-  invalidations_counter_ = registry->GetCounter(
-      "pcqe_cache_invalidations_total", "Entries dropped by explicit Clear()");
 }
 
 std::shared_ptr<const QueryResult> ConfidenceResultCache::Lookup(
-    const std::string& normalized_sql, uint64_t version) {
+    const std::string& normalized_sql, uint64_t generation) {
   MutexLock guard(mu_);
-  auto it = index_.find(Key(normalized_sql, version));
+  auto it = index_.find(Key(normalized_sql, generation));
   if (it == index_.end()) {
     ++misses_;
     if (misses_counter_ != nullptr) misses_counter_->Increment();
@@ -51,11 +49,11 @@ std::shared_ptr<const QueryResult> ConfidenceResultCache::Lookup(
 }
 
 std::shared_ptr<const QueryResult> ConfidenceResultCache::Insert(
-    const std::string& normalized_sql, uint64_t version, QueryResult result) {
+    const std::string& normalized_sql, uint64_t generation, QueryResult result) {
   auto shared = std::make_shared<const QueryResult>(std::move(result));
   if (capacity_ == 0) return shared;
   MutexLock guard(mu_);
-  Key key(normalized_sql, version);
+  Key key(normalized_sql, generation);
   if (auto it = index_.find(key); it != index_.end()) {
     it->second->second = shared;
     lru_.splice(lru_.begin(), lru_, it->second);
@@ -70,15 +68,6 @@ std::shared_ptr<const QueryResult> ConfidenceResultCache::Insert(
     if (evictions_counter_ != nullptr) evictions_counter_->Increment();
   }
   return shared;
-}
-
-void ConfidenceResultCache::Clear() {
-  MutexLock guard(mu_);
-  if (invalidations_counter_ != nullptr) {
-    invalidations_counter_->Increment(lru_.size());
-  }
-  lru_.clear();
-  index_.clear();
 }
 
 ConfidenceResultCache::Stats ConfidenceResultCache::stats() const {

@@ -9,10 +9,12 @@
 // thresholds β share one lineage evaluation and diverge only at the cheap
 // filter.
 //
-// Invalidation protocol: keys embed the catalog's confidence-version, which
-// `AcceptProposal` bumps on every committed increment. Entries computed
-// against older confidences simply stop matching and age out of the LRU; no
-// component ever has to enumerate or clear them.
+// Invalidation protocol: keys embed the catalog generation
+// (`Catalog::generation()`), which every catalog write bumps — table
+// creation and drops, inserts, confidence writes, `Clear`, and so snapshot
+// loads and recovery too. Entries computed against an older catalog simply
+// stop matching and age out of the LRU; no component ever has to enumerate
+// or clear them.
 
 #ifndef PCQE_SERVICE_RESULT_CACHE_H_
 #define PCQE_SERVICE_RESULT_CACHE_H_
@@ -36,7 +38,7 @@ namespace pcqe {
 /// queries differing only in keyword case occupy two entries.
 std::string NormalizeSql(const std::string& sql);
 
-/// \brief Thread-safe LRU cache from (normalized SQL, confidence-version) to
+/// \brief Thread-safe LRU cache from (normalized SQL, catalog generation) to
 /// a shared, immutable `QueryResult`.
 ///
 /// Entries are handed out as `shared_ptr<const QueryResult>`, so a reader
@@ -57,27 +59,22 @@ class ConfidenceResultCache {
   ConfidenceResultCache(const ConfidenceResultCache&) = delete;
   ConfidenceResultCache& operator=(const ConfidenceResultCache&) = delete;
 
-  /// Mirrors hit/miss/eviction/invalidation counts onto `pcqe_cache_*`
-  /// registry counters (the internal `Stats` keep working either way).
-  /// Explicit `Clear()` drops count as invalidations; version-stale entries
-  /// that merely age out of the LRU are indistinguishable from capacity
-  /// evictions and count as such. The registry must outlive the cache.
+  /// Mirrors hit/miss/eviction counts onto `pcqe_cache_*` registry counters
+  /// (the internal `Stats` keep working either way). Stale entries that
+  /// age out of the LRU are indistinguishable from capacity evictions and
+  /// count as such. The registry must outlive the cache.
   void AttachTelemetry(TelemetryRegistry* registry);
 
-  /// Returns the cached evaluation for (`normalized_sql`, `version`), or
+  /// Returns the cached evaluation for (`normalized_sql`, `generation`), or
   /// null on a miss. A hit refreshes the entry's LRU position.
   std::shared_ptr<const QueryResult> Lookup(const std::string& normalized_sql,
-                                            uint64_t version);
+                                            uint64_t generation);
 
   /// Stores an evaluation and returns the shared handle (also when capacity
   /// is 0, in which case nothing is retained). Re-inserting an existing key
   /// replaces the entry.
   std::shared_ptr<const QueryResult> Insert(const std::string& normalized_sql,
-                                            uint64_t version, QueryResult result);
-
-  /// Drops every entry (e.g. after out-of-band catalog edits the version
-  /// counter does not cover, such as bulk CSV loads).
-  void Clear();
+                                            uint64_t generation, QueryResult result);
 
   Stats stats() const;
 
@@ -97,7 +94,6 @@ class ConfidenceResultCache {
   Counter* hits_counter_ PCQE_GUARDED_BY(mu_) = nullptr;
   Counter* misses_counter_ PCQE_GUARDED_BY(mu_) = nullptr;
   Counter* evictions_counter_ PCQE_GUARDED_BY(mu_) = nullptr;
-  Counter* invalidations_counter_ PCQE_GUARDED_BY(mu_) = nullptr;
 };
 
 }  // namespace pcqe

@@ -178,5 +178,74 @@ TEST(CsvFileTest, FileRoundTrip) {
   EXPECT_TRUE(ImportCsvFile(&catalog2, "u", "/nonexistent/file.csv").status().IsNotFound());
 }
 
+TEST(ParseCsvTest, ReportsQuotedFields) {
+  std::vector<std::vector<bool>> quoted;
+  auto rows = *ParseCsv("a,\"\",\"x\"\n,\"\"\n", ',', &quoted);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "", "x"}));
+  EXPECT_EQ(rows[1], (std::vector<std::string>{"", ""}));
+  ASSERT_EQ(quoted.size(), 2u);
+  EXPECT_EQ(quoted[0], (std::vector<bool>{false, true, true}));
+  EXPECT_EQ(quoted[1], (std::vector<bool>{false, true}));
+}
+
+// In a VARCHAR column `""` is the empty string and an empty field is NULL;
+// in other columns both are NULL, and inference reads `""` as empty.
+TEST(ImportCsvTest, QuotedEmptyIsEmptyStringUnquotedIsNull) {
+  Catalog catalog;
+  Table* t = *ImportCsv(&catalog, "t", "s,n\nx,1\n\"\",\"\"\n,\n");
+  ASSERT_EQ(t->schema().column(0).type, DataType::kString);
+  ASSERT_EQ(t->schema().column(1).type, DataType::kInt64);
+  ASSERT_EQ(t->num_tuples(), 3u);
+  EXPECT_EQ(t->tuple(1).value(0), Value::String(""));
+  EXPECT_TRUE(t->tuple(1).value(1).is_null());
+  EXPECT_TRUE(t->tuple(2).value(0).is_null());
+  EXPECT_TRUE(t->tuple(2).value(1).is_null());
+  EXPECT_EQ(ExportCsv(*t), "s,n\nx,1\n\"\",\n,\n");
+}
+
+// `.save` writes what `.load` reads back bit for bit: doubles and
+// confidences with 17 significant digits, '' apart from NULL.
+TEST(ExportCsvTest, RoundTripIsExact) {
+  Catalog catalog;
+  Table* t = *catalog.CreateTable("t", Schema({{"s", DataType::kString, ""},
+                                               {"x", DataType::kDouble, ""}}));
+  ASSERT_TRUE(t->Insert({Value::String(""), Value::Double(-0.12345678901234566)},
+                        0.30000000000000004)
+                  .ok());
+  ASSERT_TRUE(t->Insert({Value::Null(), Value::Double(1e-300)}, 0.1).ok());
+  CsvOptions options;
+  options.confidence_column = "conf";
+  const std::string exported = ExportCsv(*t, options);
+  EXPECT_EQ(exported,
+            "s,x,conf\n\"\",-0.12345678901234566,0.30000000000000004\n"
+            ",1e-300,0.10000000000000001\n");
+  Catalog again;
+  Table* t2 = *ImportCsv(&again, "t", exported, options);
+  ASSERT_EQ(t2->num_tuples(), 2u);
+  for (size_t r = 0; r < 2; ++r) {
+    EXPECT_EQ(t2->tuple(r).value(0), t->tuple(r).value(0)) << r;
+    EXPECT_EQ(t2->tuple(r).value(1), t->tuple(r).value(1)) << r;
+    EXPECT_EQ(t2->tuple(r).confidence(), t->tuple(r).confidence()) << r;
+  }
+  EXPECT_EQ(ExportCsv(*t2, options), exported);
+}
+
+TEST(ImportCsvTest, FailedImportLeavesNoTable) {
+  CsvOptions options;
+  options.confidence_column = "conf";
+  for (const char* bad : {"a,conf\n1,0.5\n2,0.5\n3,1.5\n", "a,conf\n1,0.5\n2,nan\n",
+                          "a,conf\n1,0.5\n2,high\n"}) {
+    SCOPED_TRACE(bad);
+    Catalog catalog;
+    EXPECT_TRUE(ImportCsv(&catalog, "t", bad, options).status().IsInvalidArgument());
+    EXPECT_TRUE(catalog.TableNames().empty());
+    EXPECT_TRUE(static_cast<const Catalog&>(catalog).GetTable("t").status().IsNotFound());
+    // A retry with a fixed file succeeds.
+    Table* t = *ImportCsv(&catalog, "t", "a,conf\n1,0.5\n", options);
+    EXPECT_EQ(t->num_tuples(), 1u);
+  }
+}
+
 }  // namespace
 }  // namespace pcqe

@@ -149,16 +149,18 @@ TEST(DatabaseIoTest, SnapshotBytesAreGolden) {
             "plain,9007199254740993,0.10000000000000001,false,0.10000000000000001,1,"
             "\"polynomial(a=1.5, d=3)\"\n"
             "\"multi\nline\",0,-1234.5678901234567,,0,0.25,\"exponential(a=2, b=0.5)\"\n"
-            ",,1.0000000000000001e+300,true,1,1,\"logarithmic(a=4, b=12)\"\n"
+            "\"\",,1.0000000000000001e+300,true,1,1,\"logarithmic(a=4, b=12)\"\n"
             "x,7,3,false,0.30000000000000004,1,\"step(a=2, delta=0.25)\"\n");
   EXPECT_EQ(ReadAll(dir + "/nulls.schema"), "z\tNULL\n");
   EXPECT_EQ(ReadAll(dir + "/nulls.csv"),
             "z,__confidence,__max_confidence,__cost\n,0.5,1,linear(a=1)\n");
 
-  // A reload saves the same bytes again (the empty VARCHAR reloads as NULL,
-  // which writes the same empty field).
+  // A reload keeps '' and NULL apart and saves the same bytes again.
   Catalog loaded;
   ASSERT_TRUE(LoadDatabase(dir, &loaded).ok());
+  const Table* reloaded = *static_cast<const Catalog&>(loaded).GetTable("golden");
+  EXPECT_EQ(reloaded->tuple(4).value(0), Value::String(""));
+  EXPECT_TRUE(reloaded->tuple(1).value(0).is_null());
   std::string again = FreshDir("dbio_golden_again");
   ASSERT_TRUE(SaveDatabase(loaded, again).ok());
   for (const char* file : {"manifest.pcqe", "golden.schema", "golden.csv", "nulls.schema",

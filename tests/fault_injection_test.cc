@@ -136,7 +136,7 @@ FaultInjector::SiteConfig SyntheticOutage() {
 
 TEST_F(FaultInjectionTest, KnownSitesEnumeratesEveryProbePoint) {
   const std::vector<const char*>& sites = FaultInjector::KnownSites();
-  EXPECT_EQ(sites.size(), 17u);
+  EXPECT_EQ(sites.size(), 16u);
   std::set<std::string> unique(sites.begin(), sites.end());
   EXPECT_EQ(unique.size(), sites.size());
 }
@@ -175,8 +175,8 @@ TEST_F(FaultInjectionTest, EveryRegisteredSiteIsReachable) {
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   ASSERT_TRUE(outcome->proposal.needed);
   ASSERT_TRUE(service.Accept(outcome->proposal).ok());
-  // β-pushdown qualification (fraction 0, safe shape, β > 0) rebuilds the
-  // confidence zone map, probing query.index_rebuild.
+  // A β-pushdown request (fraction 0, safe shape, β > 0) through the same
+  // service.
   ServiceRequest pushed;
   pushed.sql = "SELECT company FROM proposal";
   pushed.required_fraction = 0.0;

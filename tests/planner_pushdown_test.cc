@@ -1,5 +1,6 @@
-// Differential test layer for β pushdown (query/confidence_index.h,
-// planner's kConfidencePrune insertion): evaluating with pushdown ON must be
+// Differential test layer for β pushdown (the planner's kConfidencePrune
+// insertion, and the confidence bounds each column chunk keeps for chunk
+// skipping): evaluating with pushdown ON must be
 // *release-identical* to evaluating the full intermediate result and
 // post-filtering — same released values, the exact same IEEE doubles for
 // every released confidence, the same materialized lineage formulas, and

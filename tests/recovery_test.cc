@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -470,35 +471,6 @@ TEST_F(RecoveryTest, PushdownAfterCrashPrunesPerRecoveredConfidences) {
   EXPECT_EQ(pushed->intermediate.vec_stats.pruned_rows, 2u);
 }
 
-TEST_F(RecoveryTest, IndexRebuildFaultDegradesToRowExactPruning) {
-  std::string dir = FreshDir("rec_index_fault");
-  PushdownIncarnation live(dir);
-  ASSERT_TRUE(live.open_status.ok()) << live.open_status.ToString();
-  ASSERT_TRUE(live.Accept(live.ids[0], 0.8).ok());
-
-  // Every rebuild attempt fails: no zone map is ever published, the prune
-  // node falls back to row-exact tests — same released set, no chunk
-  // skipping — and the query itself still succeeds.
-  FaultInjector::Global().Arm(fault_sites::kIndexRebuild, {});
-  Result<QueryOutcome> degraded = live.Query(true);
-  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  EXPECT_TRUE(degraded->intermediate.pushed_down);
-  ASSERT_EQ(degraded->released.size(), 1u);
-  EXPECT_EQ(degraded->intermediate.vec_stats.pruned_chunks, 0u);
-  EXPECT_EQ(degraded->intermediate.vec_stats.pruned_rows, 3u);
-  EXPECT_GT(FaultInjector::Global().hits(fault_sites::kIndexRebuild), 0u);
-
-  // Disarm: the rebuild succeeds on the next query and the released set is
-  // unchanged.
-  FaultInjector::Global().Disarm(fault_sites::kIndexRebuild);
-  Result<QueryOutcome> healed = live.Query(true);
-  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
-  ASSERT_EQ(healed->released.size(), 1u);
-  EXPECT_EQ(healed->intermediate.rows[healed->released[0]].confidence,
-            degraded->intermediate.rows[degraded->released[0]].confidence);
-  EXPECT_EQ(healed->intermediate.vec_stats.pruned_rows, 3u);
-}
-
 TEST_F(RecoveryTest, ValidationFailureSkipsLoggingEntirely) {
   // An accept that fails validation (target above the tuple's ceiling) must
   // not reach the WAL at all: the log stays free of aborted garbage.
@@ -511,6 +483,25 @@ TEST_F(RecoveryTest, ValidationFailureSkipsLoggingEntirely) {
   EXPECT_EQ(after.wal_appends, before.wal_appends);
   EXPECT_EQ(after.wal_file_bytes, before.wal_file_bytes);
   EXPECT_EQ(live.catalog.confidence_version(), 0u);
+}
+
+TEST_F(RecoveryTest, NaNTargetFailsValidationBeforeLogging) {
+  // NaN fails every comparison; validation must still reject it before the
+  // WAL append, or the next checkpoint would write a snapshot that no load
+  // accepts.
+  std::string dir = FreshDir("rec_nan");
+  Incarnation live(dir);
+  ASSERT_TRUE(live.open_status.ok());
+  StorageSnapshot before = live.storage.snapshot();
+  const uint64_t generation = live.catalog.generation();
+  Status refused = live.Accept(live.ids[0], std::numeric_limits<double>::quiet_NaN());
+  EXPECT_TRUE(refused.IsInvalidArgument()) << refused.ToString();
+  StorageSnapshot after = live.storage.snapshot();
+  EXPECT_EQ(after.wal_appends, before.wal_appends);
+  EXPECT_EQ(after.wal_file_bytes, before.wal_file_bytes);
+  EXPECT_EQ(live.catalog.confidence_version(), 0u);
+  EXPECT_EQ(live.catalog.generation(), generation);
+  EXPECT_EQ(live.Confidences(), (std::vector<double>{0.2, 0.4, 0.5}));
 }
 
 }  // namespace

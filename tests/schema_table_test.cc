@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "common/math_util.h"
+#include "common/random.h"
 #include "relational/catalog.h"
 #include "relational/schema.h"
 #include "relational/table.h"
@@ -212,6 +216,129 @@ TEST(CatalogTest, TableNamesInCreationOrder) {
   ASSERT_TRUE(c.CreateTable("zeta", ProposalSchema()).ok());
   ASSERT_TRUE(c.CreateTable("alpha", ProposalSchema()).ok());
   EXPECT_EQ(c.TableNames(), (std::vector<std::string>{"zeta", "alpha"}));
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// NaN fails every comparison, so range checks must be written to fail it.
+// Each boundary rejects it and leaves version and generation where they were.
+TEST(CatalogTest, NaNConfidenceIsRejectedEverywhere) {
+  Catalog catalog;
+  Table* t = *catalog.CreateTable("t", Schema({{"a", DataType::kInt64, ""}}));
+  BaseTupleId id = *t->Insert({Value::Int(1)}, 0.3, nullptr, 0.9);
+  const uint64_t version = catalog.confidence_version();
+  const uint64_t generation = catalog.generation();
+
+  EXPECT_TRUE(t->Insert({Value::Int(2)}, kNaN).status().IsInvalidArgument());
+  EXPECT_TRUE(t->Insert({Value::Int(2)}, 0.5, nullptr, kNaN).status().IsInvalidArgument());
+  EXPECT_TRUE(t->SetConfidence(id, kNaN).IsInvalidArgument());
+  EXPECT_TRUE(catalog.SetConfidence(id, kNaN).IsInvalidArgument());
+
+  EXPECT_EQ(t->num_tuples(), 1u);
+  EXPECT_EQ(t->tuple(0).confidence(), 0.3);
+  EXPECT_EQ(catalog.confidence_version(), version);
+  EXPECT_EQ(catalog.generation(), generation);
+}
+
+TEST(CatalogTest, EveryWriteBumpsGenerationAndClearNeverResetsIt) {
+  Catalog catalog;
+  uint64_t last = catalog.generation();
+  auto bumped = [&] {
+    const uint64_t now = catalog.generation();
+    const bool moved = now == last + 1;
+    last = now;
+    return moved;
+  };
+  Table* t = *catalog.CreateTable("t", Schema({{"a", DataType::kInt64, ""}}));
+  EXPECT_TRUE(bumped());
+  BaseTupleId id = *t->Insert({Value::Int(1)}, 0.3);
+  EXPECT_TRUE(bumped());
+  ASSERT_TRUE(t->SetConfidence(id, 0.4).ok());
+  EXPECT_TRUE(bumped());
+  ASSERT_TRUE(catalog.SetConfidence(id, 0.5).ok());
+  EXPECT_TRUE(bumped());
+  ASSERT_TRUE(catalog.CreateTableWithId("u", Schema({{"b", DataType::kInt64, ""}}), 9).ok());
+  EXPECT_TRUE(bumped());
+  ASSERT_TRUE(catalog.DropTable("u").ok());
+  EXPECT_TRUE(bumped());
+  // Failed writes change nothing.
+  EXPECT_FALSE(t->Insert({Value::String("x")}, 0.5).ok());
+  EXPECT_FALSE(catalog.DropTable("u").ok());
+  EXPECT_EQ(catalog.generation(), last);
+  catalog.Clear();
+  EXPECT_TRUE(bumped());
+  EXPECT_EQ(catalog.confidence_version(), 0u);
+
+  // A standalone table has no generation to bump.
+  Table standalone("s", Schema({{"a", DataType::kInt64, ""}}));
+  ASSERT_TRUE(standalone.Insert({Value::Int(1)}, 0.5).ok());
+  EXPECT_EQ(catalog.generation(), last);
+}
+
+/// Checks chunk `c`'s stored confidence bounds against a rescan.
+void ExpectBoundsMatchRescan(const TableColumnData& data, size_t c) {
+  const std::vector<double>& conf = data.confidence_chunk(c);
+  ASSERT_FALSE(conf.empty());
+  EXPECT_EQ(data.conf_min(c), *std::min_element(conf.begin(), conf.end())) << "chunk " << c;
+  EXPECT_EQ(data.conf_max(c), *std::max_element(conf.begin(), conf.end())) << "chunk " << c;
+}
+
+// The bounds β pushdown skips chunks by are written with the confidences, so
+// after every write they equal a rescan: appends, raises, lowers, moves onto
+// a chunk's current bound and moves of the row holding a bound off it.
+TEST(TableTest, ChunkConfidenceBoundsEqualRescanAfterEveryWrite) {
+  constexpr size_t kRows = 3 * kColumnChunkCapacity + 100;  // four chunks
+  constexpr int kWrites = 400;
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    Catalog catalog;
+    Table* t = *catalog.CreateTable("t", Schema({{"a", DataType::kInt64, ""}}));
+    const TableColumnData& data = t->column_data();
+    std::vector<BaseTupleId> ids;
+    for (size_t r = 0; r < kRows; ++r) {
+      ids.push_back(*t->Insert({Value::Int(static_cast<int64_t>(r))},
+                               rng.Uniform(0.2, 0.8)));
+      ExpectBoundsMatchRescan(data, TableColumnData::ChunkOf(r));
+    }
+    ASSERT_EQ(data.num_chunks(), 4u);
+    for (int w = 0; w < kWrites; ++w) {
+      const size_t c = static_cast<size_t>(rng.UniformInt(0, 3));
+      const std::vector<double>& conf = data.confidence_chunk(c);
+      size_t offset = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(conf.size()) - 1));
+      const double lo = data.conf_min(c);
+      const double hi = data.conf_max(c);
+      double to = 0.0;
+      switch (rng.UniformInt(0, 5)) {
+        case 0:  // raise
+          to = rng.Uniform(conf[offset], 1.0);
+          break;
+        case 1:  // lower
+          to = rng.Uniform(0.0, conf[offset]);
+          break;
+        case 2:  // onto a bound
+          to = rng.Bernoulli(0.5) ? lo : hi;
+          break;
+        case 3:  // the min holder moves inward
+          offset = static_cast<size_t>(std::min_element(conf.begin(), conf.end()) - conf.begin());
+          to = rng.Uniform(lo, hi);
+          break;
+        case 4:  // the max holder moves inward
+          offset = static_cast<size_t>(std::max_element(conf.begin(), conf.end()) - conf.begin());
+          to = rng.Uniform(lo, hi);
+          break;
+        default:  // a bound holder crosses to the other side
+          offset = static_cast<size_t>(std::min_element(conf.begin(), conf.end()) - conf.begin());
+          to = rng.Uniform(hi, 1.0);
+          break;
+      }
+      const BaseTupleId id = ids[c * kColumnChunkCapacity + offset];
+      // Both write paths: the catalog's and the table's own.
+      ASSERT_TRUE((w % 2 == 0 ? catalog.SetConfidence(id, to) : t->SetConfidence(id, to)).ok());
+      ASSERT_EQ(data.confidence(c * kColumnChunkCapacity + offset), to);
+      for (size_t k = 0; k < data.num_chunks(); ++k) ExpectBoundsMatchRescan(data, k);
+    }
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "relational/database_io.h"
 #include "service/query_service.h"
 
 namespace pcqe {
@@ -321,16 +322,6 @@ TEST_F(QueryServiceTest, LruEvictsLeastRecentlyUsedEntry) {
   EXPECT_EQ(service->stats().cache_misses, 4u);
   ASSERT_TRUE(service->Submit(sam, {.sql = q3}).ok());  // q3 survived: hit
   EXPECT_EQ(service->stats().cache_hits, 2u);
-}
-
-TEST_F(QueryServiceTest, InvalidateCacheForcesReEvaluation) {
-  auto service = MakeService({.num_workers = 1});
-  SessionHandle sam = *service->OpenSession("sam", "analysis");
-  ASSERT_TRUE(service->Submit(sam, {.sql = kCandidateQuery}).ok());
-  service->InvalidateCache();
-  ASSERT_TRUE(service->Submit(sam, {.sql = kCandidateQuery}).ok());
-  EXPECT_EQ(service->stats().cache_misses, 2u);
-  EXPECT_EQ(service->stats().cache_hits, 0u);
 }
 
 TEST_F(QueryServiceTest, StatsSnapshotFormats) {
@@ -771,10 +762,10 @@ TEST_F(QueryServiceTest, CheckpointAndRecoverRoundTripThroughService) {
 }
 
 TEST_F(QueryServiceTest, RecoverClearsStaleVersionKeyedCacheEntries) {
-  // The cache keys evaluations on (SQL, confidence_version). Recovery can
-  // rewind the version and a later write can re-reach the *same* number
-  // with different confidences — a pre-recovery entry served then would be
-  // silently wrong. Recover() must drop the whole cache.
+  // Recovery can rewind confidence_version and a later write can re-reach
+  // the *same* number with different confidences — a pre-recovery entry
+  // keyed on that number would be silently wrong. The cache keys on the
+  // catalog generation instead, which recovery and every write move on.
   ServiceOptions options;
   options.num_workers = 1;
   options.durability.dir = FreshServiceDir("svc_cache_recovery");
@@ -871,6 +862,87 @@ TEST_F(QueryServiceTest, RecoverInvalidatesConfidenceZoneMaps) {
       *service->Submit(amy, {.sql = kSafeQuery, .required_fraction = 0.0});
   EXPECT_EQ(released.released.size(), 1u);
   EXPECT_EQ(released.intermediate.vec_stats.pruned_chunks, 0u);
+}
+
+/// The `a` values of the rows `outcome` released, in result order.
+std::vector<int64_t> ReleasedA(const QueryOutcome& outcome) {
+  std::vector<int64_t> out;
+  for (size_t i : outcome.released) {
+    out.push_back(*outcome.intermediate.ValuesOfRow(i)[0].AsInt());
+  }
+  return out;
+}
+
+// The cache keys on the catalog generation, which every write bumps. So an
+// evaluation cached before a write is never served after it, even when the
+// write bypasses the engine and the service, as a bare `Table::Insert` does.
+TEST_F(QueryServiceTest, InsertAfterCachedQueryIsNotServedStale) {
+  Table* t = *catalog_.CreateTable("t", Schema({{"a", DataType::kInt64, ""}}));
+  ASSERT_TRUE(t->Insert({Value::Int(1)}, 0.9).ok());
+  auto service = MakeService({.num_workers = 0});
+  SessionHandle sam = *service->OpenSession("sam", "analysis");
+  // Fraction 0 takes the pushed cache key, 0.5 the unpushed one.
+  for (double fraction : {0.0, 0.5}) {
+    SCOPED_TRACE(::testing::Message() << "fraction " << fraction);
+    const ServiceRequest request{.sql = "SELECT a FROM t", .required_fraction = fraction};
+    ASSERT_EQ(ReleasedA(*service->Submit(sam, request)).size(), t->num_tuples());
+    QueryOutcome hit = *service->Submit(sam, request);
+    EXPECT_EQ(hit.released.size(), t->num_tuples());
+
+    const auto next = static_cast<int64_t>(t->num_tuples()) + 1;
+    ASSERT_TRUE(t->Insert({Value::Int(next)}, 0.9).ok());
+    size_t misses = service->stats().cache_misses;
+    QueryOutcome after = *service->Submit(sam, request);
+    EXPECT_EQ(service->stats().cache_misses, misses + 1);
+    EXPECT_EQ(after.released.size(), t->num_tuples());
+  }
+}
+
+TEST_F(QueryServiceTest, RecreatedTableIsNotServedStale) {
+  const Schema schema({{"a", DataType::kInt64, ""}});
+  Table* t = *catalog_.CreateTable("t", schema);
+  ASSERT_TRUE(t->Insert({Value::Int(1)}, 0.9).ok());
+  auto service = MakeService({.num_workers = 0});
+  SessionHandle sam = *service->OpenSession("sam", "analysis");
+  const ServiceRequest request{.sql = "SELECT a FROM t", .required_fraction = 0.0};
+  EXPECT_EQ(ReleasedA(*service->Submit(sam, request)), std::vector<int64_t>{1});
+
+  // Same name, other rows.
+  ASSERT_TRUE(catalog_.DropTable("t").ok());
+  t = *catalog_.CreateTable("t", schema);
+  ASSERT_TRUE(t->Insert({Value::Int(7)}, 0.9).ok());
+  ASSERT_TRUE(t->Insert({Value::Int(8)}, 0.9).ok());
+  EXPECT_EQ(ReleasedA(*service->Submit(sam, request)), (std::vector<int64_t>{7, 8}));
+  EXPECT_EQ(service->stats().cache_misses, 2u);
+}
+
+TEST_F(QueryServiceTest, ClearAndLoadIntoSameCatalogIsNotServedStale) {
+  // A snapshot whose `t` has the same table id, row count and confidence
+  // version as the live one, but another value: only the generation tells
+  // the two catalogs apart.
+  const Schema schema({{"a", DataType::kInt64, ""}});
+  std::string dir = FreshServiceDir("svc_clear_load");
+  std::filesystem::create_directories(dir);
+  {
+    Catalog other;
+    Table* t = *other.CreateTable("t", schema);
+    ASSERT_TRUE(t->Insert({Value::Int(2)}, 0.9).ok());
+    ASSERT_TRUE(SaveDatabase(other, dir).ok());
+  }
+  catalog_.Clear();
+  Table* t = *catalog_.CreateTable("t", schema);
+  ASSERT_TRUE(t->Insert({Value::Int(1)}, 0.9).ok());
+  auto service = MakeService({.num_workers = 0});
+  SessionHandle sam = *service->OpenSession("sam", "analysis");
+  const ServiceRequest request{.sql = "SELECT a FROM t", .required_fraction = 0.0};
+  EXPECT_EQ(ReleasedA(*service->Submit(sam, request)), std::vector<int64_t>{1});
+
+  uint64_t version = catalog_.confidence_version();
+  catalog_.Clear();
+  ASSERT_TRUE(LoadDatabase(dir, &catalog_).ok());
+  ASSERT_EQ(catalog_.confidence_version(), version);
+  EXPECT_EQ(ReleasedA(*service->Submit(sam, request)), std::vector<int64_t>{2});
+  EXPECT_EQ(service->stats().cache_misses, 2u);
 }
 
 TEST_F(QueryServiceTest, FailedDurabilityOpenDisablesAcceptsNotReads) {

@@ -66,8 +66,8 @@ Rules (ids in brackets; suppress a line with `// pcqe-lint: allow(<rule>)`):
   [pushdown]              No hand-rolled confidence-vs-β comparisons in src/
       outside the sanctioned sites (PolicyDecision::Allows in src/policy/,
       ClearsThreshold in src/strategy/problem.h, and the β-pushdown
-      implementation files src/query/confidence_index.*, planner.cc,
-      executor.cc, vec_executor.cc). The strict keep-test
+      implementation files src/query/planner.cc, executor.cc,
+      vec_executor.cc). The strict keep-test
       (`conf > β + kEpsilon`) must stay the exact complement of the policy
       block-test everywhere — a re-implementation that drops the epsilon or
       flips the strictness silently breaks pushdown's release-identity
@@ -120,13 +120,11 @@ DEADLINE_CMP_RE = re.compile(
 
 # The only src/ files allowed to compare a confidence against β directly:
 # the policy decision, the solvers' shared ClearsThreshold helper, and the
-# β-pushdown implementation (zone maps, planner wrap, both prune operators).
+# β-pushdown implementation (planner wrap, both prune operators).
 PUSHDOWN_ALLOWED_FILES = (
     "src/policy/confidence_policy.h",
     "src/policy/confidence_policy.cc",
     "src/strategy/problem.h",
-    "src/query/confidence_index.h",
-    "src/query/confidence_index.cc",
     "src/query/planner.cc",
     "src/query/executor.cc",
     "src/query/vec_executor.cc",

@@ -109,10 +109,6 @@ void Shell::RunCommand(const std::string& line) {
         out() << mode.status().ToString() << "\n";
       } else {
         engine_->execution_mode = *mode;
-        // Cached results are bit-identical across modes, but drop them so a
-        // mode switch observably re-executes (differential smoke tests rely
-        // on this).
-        if (service_ != nullptr) service_->InvalidateCache();
         out() << "execution mode = " << ExecutionModeToString(engine_->execution_mode) << "\n";
       }
     } else {
@@ -123,10 +119,6 @@ void Shell::RunCommand(const std::string& line) {
       out() << "beta pushdown = " << (pushdown_ ? "on" : "off") << "\n";
     } else if (args.size() == 1 && (args[0] == "on" || args[0] == "off")) {
       pushdown_ = args[0] == "on";
-      // Pushed and unpushed evaluations are keyed apart in the cache, but
-      // drop it anyway so a mode switch observably re-executes (the
-      // differential smoke tests rely on this, as with .exec).
-      if (service_ != nullptr) service_->InvalidateCache();
       out() << "beta pushdown = " << (pushdown_ ? "on" : "off") << "\n";
     } else {
       out() << "usage: .pushdown [on|off]\n";
@@ -171,13 +163,6 @@ void Shell::RunCommand(const std::string& line) {
       out() << "usage: .opendb <directory>\n";
     } else {
       Status s = LoadDatabase(args[0], &catalog_);
-      if (s.ok()) {
-        // Wholesale restore: table ids (and possibly row counts) can repeat
-        // under different confidences, which version-validated zone maps
-        // cannot detect.
-        engine_->confidence_index()->Invalidate();
-        if (service_ != nullptr) service_->InvalidateCache();
-      }
       out() << (s.ok() ? "database loaded from " + args[0] : s.ToString()) << "\n";
     }
   } else if (cmd == ".saveconfig") {
@@ -279,10 +264,6 @@ void Shell::CmdLoad(const std::vector<std::string>& args) {
     out() << table.status().ToString() << "\n";
     return;
   }
-  // Bulk loads bypass the confidence-version counter; drop stale entries
-  // (cached evaluations and confidence zone maps alike).
-  engine_->confidence_index()->Invalidate();
-  if (service_ != nullptr) service_->InvalidateCache();
   out() << "loaded " << (*table)->num_tuples() << " rows into " << args[0] << "\n";
 }
 
@@ -633,9 +614,6 @@ void Shell::CmdDurable(const std::vector<std::string>& args) {
   storage_ = std::move(storage);
   storage_->AttachTelemetry(&registry_);
   engine_->AttachStorage(storage_.get());
-  // Opening an existing directory recovered the catalog wholesale.
-  engine_->confidence_index()->Invalidate();
-  if (service_ != nullptr) service_->InvalidateCache();
   StorageSnapshot snap = storage_->snapshot();
   out() << "durable catalog at " << snap.dir << ": checkpoint " << snap.checkpoint
         << ", segment " << snap.wal << ", " << snap.recovered_records
@@ -672,11 +650,6 @@ void Shell::CmdRecover() {
     WriterLock lock(engine_->catalog_mu());
     s = storage_->Recover();
   }
-  // Pre-recovery evaluations and confidence zone maps must not be served
-  // against replayed state: replay keeps the confidence version monotone,
-  // so a map built over unlogged pre-crash mutations could still validate.
-  engine_->confidence_index()->Invalidate();
-  if (service_ != nullptr) service_->InvalidateCache();
   if (!s.ok()) {
     out() << s.ToString() << "\n";
     return;

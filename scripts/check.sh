@@ -35,8 +35,21 @@ METRICS_OUT=$(printf '.metrics\n.quit\n' | build/tools/pcqe_shell)
 echo "$METRICS_OUT" | grep -q "pcqe_engine_queries_total" \
   || { echo ".metrics smoke failed: no pcqe_engine_queries_total in output"; exit 1; }
 
-# Vectorized smoke: the same SQL through .exec row and .exec vec must print
-# byte-identical tables (the row engine is the differential reference).
+# Shell transcript smokes. Each expected transcript under
+# tests/shell_transcripts/ is the row interpreter's output for the same input
+# (the differential oracle), recorded when the shell could still switch
+# interpreters, and byte-identical there to the vectorized interpreter's. The
+# shell now serves through the vectorized interpreter only and must still
+# print exactly that transcript.
+TRANSCRIPTS=tests/shell_transcripts
+expect_transcript() {  # expect_transcript <name> <actual output>
+  local expected
+  expected=$(cat "$TRANSCRIPTS/$1.txt")
+  [[ "$2" == "$expected" ]] \
+    || { echo "$1 smoke failed: output differs from $TRANSCRIPTS/$1.txt"; \
+         diff <(echo "$expected") <(echo "$2") || true; exit 1; }
+}
+
 echo "== shell: vectorized differential smoke"
 SMOKE_CSV=$(mktemp)
 cat > "$SMOKE_CSV" <<'EOF'
@@ -48,23 +61,15 @@ id,amount,conf
 5,120.0,0.4
 EOF
 SMOKE_SQL='SELECT id, amount FROM t WHERE amount < 200.0 ORDER BY amount DESC, id;'
-run_shell_mode() {
-  printf '.load t %s conf\n.exec %s\n%s\n.quit\n' "$SMOKE_CSV" "$1" "$SMOKE_SQL" \
-    | build/tools/pcqe_shell | grep -v "execution mode"
-}
-ROW_OUT=$(run_shell_mode row)
-VEC_OUT=$(run_shell_mode vec)
+VEC_OUT=$(printf '.load t %s conf\n%s\n.quit\n' "$SMOKE_CSV" "$SMOKE_SQL" | build/tools/pcqe_shell)
 rm -f "$SMOKE_CSV"
-echo "$ROW_OUT" | grep -q "4 row(s)" \
-  || { echo "vectorized smoke failed: query returned no rows"; echo "$ROW_OUT"; exit 1; }
-[[ "$ROW_OUT" == "$VEC_OUT" ]] \
-  || { echo "vectorized smoke failed: row/vec outputs differ"; \
-       diff <(echo "$ROW_OUT") <(echo "$VEC_OUT") || true; exit 1; }
+echo "$VEC_OUT" | grep -q "4 row(s)" \
+  || { echo "vectorized smoke failed: query returned no rows"; echo "$VEC_OUT"; exit 1; }
+expect_transcript vectorized_differential "$VEC_OUT"
 
 # Negative-literal GROUP BY, served through the engine (a policy applies), so
-# its counters see the query: byte-identical tables in both modes, and the
-# vectorized run filters on the typed kernels and groups natively, with no
-# row evaluated one at a time.
+# its counters see the query: the oracle's table, with the filter on the typed
+# kernels and native grouping, and no row evaluated one at a time.
 echo "== shell: negative-literal GROUP BY smoke"
 GROUP_CSV=$(mktemp)
 cat > "$GROUP_CSV" <<'EOF'
@@ -76,19 +81,16 @@ id,amount,conf
 5,-120.0,0.4
 EOF
 GROUP_SQL='SELECT amount, COUNT(*) AS n, MIN(id) AS first FROM t WHERE amount >= -200.0 GROUP BY amount ORDER BY amount;'
-run_group_mode() {
-  printf '.load t %s conf\n.role add R\n.user add u\n.role grant u R\n.policy add R general 0.1\n.user use u\n.exec %s\n%s\n%b.quit\n' \
-    "$GROUP_CSV" "$1" "$GROUP_SQL" "${2:-}" | build/tools/pcqe_shell | grep -v "execution mode"
+run_group() {
+  printf '.load t %s conf\n.role add R\n.user add u\n.role grant u R\n.policy add R general 0.1\n.user use u\n%s\n%b.quit\n' \
+    "$GROUP_CSV" "$GROUP_SQL" "${1:-}" | build/tools/pcqe_shell
 }
-ROW_GROUP=$(run_group_mode row)
-VEC_GROUP=$(run_group_mode vec)
-VEC_METRICS=$(run_group_mode vec '.metrics\n')
+VEC_GROUP=$(run_group)
+VEC_METRICS=$(run_group '.metrics\n')
 rm -f "$GROUP_CSV"
-echo "$ROW_GROUP" | grep -q "3 of 3 row(s) released" \
-  || { echo "GROUP BY smoke failed: expected 3 released groups"; echo "$ROW_GROUP"; exit 1; }
-[[ "$ROW_GROUP" == "$VEC_GROUP" ]] \
-  || { echo "GROUP BY smoke failed: row/vec outputs differ"; \
-       diff <(echo "$ROW_GROUP") <(echo "$VEC_GROUP") || true; exit 1; }
+echo "$VEC_GROUP" | grep -q "3 of 3 row(s) released" \
+  || { echo "GROUP BY smoke failed: expected 3 released groups"; echo "$VEC_GROUP"; exit 1; }
+expect_transcript negative_group_by "$VEC_GROUP"
 echo "$VEC_METRICS" | grep -q '^pcqe_engine_queries_total 1$' \
   || { echo "GROUP BY smoke failed: the query did not reach the engine"; exit 1; }
 echo "$VEC_METRICS" | grep -q '^pcqe_engine_vec_fallback_rows_total 0$' \
@@ -99,7 +101,6 @@ echo "$VEC_METRICS" | grep -q '^pcqe_engine_vec_fallback_rows_total 0$' \
 # cache keeps the vectorized result's group lineage deferred. A shortfall
 # (.fraction 0.9) makes the solver box it, `.why` explains the blocked group,
 # and a repeat at .fraction 0 is a cache hit that `.why` boxes on demand.
-# Both modes must print byte-identical output.
 echo "== shell: served grouped smoke"
 SERVE_CSV=$(mktemp)
 cat > "$SERVE_CSV" <<'EOF'
@@ -113,16 +114,10 @@ site,v,conf
 5,1.0,0.6
 EOF
 SERVE_SQL='SELECT site, COUNT(*) AS n, SUM(v) AS s FROM t GROUP BY site;'
-run_served_mode() {
-  printf '.load t %s conf\n.role add R\n.user add u\n.role grant u R\n.policy add R general 0.1\n.exec %s\n.serve 2\n.session u\n.fraction 0.9\n%s\n.why 1\n.fraction 0\n%s\n.why 1\n.quit\n' \
-    "$SERVE_CSV" "$1" "$SERVE_SQL" "$SERVE_SQL" | build/tools/pcqe_shell | grep -v "execution mode"
-}
-ROW_SERVED=$(run_served_mode row)
-VEC_SERVED=$(run_served_mode vec)
+VEC_SERVED=$(printf '.load t %s conf\n.role add R\n.user add u\n.role grant u R\n.policy add R general 0.1\n.serve 2\n.session u\n.fraction 0.9\n%s\n.why 1\n.fraction 0\n%s\n.why 1\n.quit\n' \
+  "$SERVE_CSV" "$SERVE_SQL" "$SERVE_SQL" | build/tools/pcqe_shell)
 rm -f "$SERVE_CSV"
-[[ "$ROW_SERVED" == "$VEC_SERVED" ]] \
-  || { echo "served grouped smoke failed: row/vec outputs differ"; \
-       diff <(echo "$ROW_SERVED") <(echo "$VEC_SERVED") || true; exit 1; }
+expect_transcript served_grouped "$VEC_SERVED"
 echo "$VEC_SERVED" | grep -q "improvement available" \
   || { echo "served grouped smoke failed: no shortfall proposal"; echo "$VEC_SERVED"; exit 1; }
 [[ $(echo "$VEC_SERVED" | grep -c "most influential base tuples") -eq 2 ]] \

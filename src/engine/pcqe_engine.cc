@@ -49,6 +49,14 @@ void FixAllocatorThresholds() {
 #endif
 }
 
+/// Problems at or below this many base tuples run the exact solver under
+/// `SolverKind::kAuto`.
+constexpr size_t kAutoHeuristicLimit = 10;
+
+/// A deadlined exact solve left with less than this after its greedy primer
+/// returns the greedy plan tagged `partial` instead (see `FindStrategy`).
+constexpr double kPressureFallbackSeconds = 0.010;
+
 }  // namespace
 
 PcqeEngine::PcqeEngine(Catalog* catalog, RoleGraph roles, PolicyStore policies)
@@ -153,23 +161,20 @@ Result<QueryOutcome> PcqeEngine::Submit(const QueryRequest& request) const {
   std::shared_ptr<OperatorProfile> profile;
   if (request.profile) profile = std::make_shared<OperatorProfile>();
   std::optional<double> pushdown_beta = ResolvePushdownBeta(request);
-  if (tracer_ == nullptr || !tracer_->enabled()) {
-    PCQE_ASSIGN_OR_RETURN(QueryResult intermediate,
-                          Evaluate(request.sql, nullptr, profile.get(), pushdown_beta));
-    Result<QueryOutcome> outcome = Complete(request, std::move(intermediate));
-    if (outcome.ok()) outcome->profile = std::move(profile);
-    return outcome;
-  }
-  TraceBuilder trace("submit");
+  // One trace per call; null when tracing is off — every span below is
+  // tolerant of that.
+  std::optional<TraceBuilder> trace;
+  if (tracer_ != nullptr && tracer_->enabled()) trace.emplace("submit");
+  TraceBuilder* tb = trace.has_value() ? &*trace : nullptr;
   Result<QueryOutcome> outcome = [&]() -> Result<QueryOutcome> {
     PCQE_ASSIGN_OR_RETURN(QueryResult intermediate,
-                          Evaluate(request.sql, &trace, profile.get(), pushdown_beta));
-    return Complete(request, std::move(intermediate), &trace);
+                          Evaluate(request.sql, tb, profile.get(), pushdown_beta));
+    return Complete(request, std::move(intermediate), tb);
   }();
-  uint64_t id = tracer_->Record(trace.Finish());
-  if (outcome.ok()) {
-    outcome->trace_id = id;
-    outcome->profile = std::move(profile);
+  if (outcome.ok()) outcome->profile = std::move(profile);
+  if (trace.has_value()) {
+    uint64_t id = tracer_->Record(trace->Finish());
+    if (outcome.ok()) outcome->trace_id = id;
   }
   return outcome;
 }
@@ -186,7 +191,7 @@ Result<QueryResult> PcqeEngine::Evaluate(const std::string& sql,
   // value boxing is deferred until something displays rows (ReleasedTable /
   // ToTable / MaterializeValues) — the factorized engine's late
   // materialization.
-  Result<QueryResult> result = RunQuery(*catalog_, sql, trace, execution_mode,
+  Result<QueryResult> result = RunQuery(*catalog_, sql, trace, ExecutionMode::kVectorized,
                                         /*materialize_values=*/false, profile,
                                         pushdown_beta);
   if (result.ok() && profile != nullptr) ObserveOperatorSeconds(*profile);
@@ -479,7 +484,7 @@ Result<StrategyProposal> PcqeEngine::FindStrategy(
 
   SolverKind effective = solver;
   if (effective == SolverKind::kAuto) {
-    effective = (problem.num_base_tuples() <= auto_heuristic_limit && problem.is_monotone())
+    effective = (problem.num_base_tuples() <= kAutoHeuristicLimit && problem.is_monotone())
                     ? SolverKind::kHeuristic
                     : SolverKind::kDnc;
   }
@@ -490,8 +495,7 @@ Result<StrategyProposal> PcqeEngine::FindStrategy(
         heuristic_options.parallelism = lanes;
         heuristic_options.deadline = deadline;
         heuristic_options.cancel = cancel;
-        if (greedy_fallback_under_pressure && !deadline.infinite() &&
-            problem.is_monotone()) {
+        if (!deadline.infinite() && problem.is_monotone()) {
           // Prime the exact search with a fast greedy incumbent: B&B then
           // only explores subtrees that can beat it, and if the deadline
           // lands mid-search the incumbent is already a feasible anytime
@@ -504,7 +508,7 @@ Result<StrategyProposal> PcqeEngine::FindStrategy(
           primer.cancel = cancel;
           Result<IncrementSolution> primed = SolveGreedy(problem, primer);
           if (primed.ok() && primed->feasible) {
-            if (deadline.RemainingSeconds() < pressure_fallback_seconds) {
+            if (deadline.RemainingSeconds() < kPressureFallbackSeconds) {
               IncrementSolution fallback = std::move(*primed);
               if (!fallback.partial) {
                 fallback.partial = true;

@@ -32,8 +32,8 @@ class StorageManager;
 
 /// \brief Which strategy-finding algorithm the engine runs.
 enum class SolverKind : uint8_t {
-  /// Exact branch-and-bound on small problems (≤ `auto_heuristic_limit`
-  /// base tuples), divide-and-conquer otherwise.
+  /// Exact branch-and-bound on small problems (≤ 10 base tuples),
+  /// divide-and-conquer otherwise.
   kAuto = 0,
   kHeuristic = 1,
   kGreedy = 2,
@@ -182,6 +182,10 @@ class PcqeEngine {
   void AttachStorage(StorageManager* storage) { storage_ = storage; }
   StorageManager* storage() const { return storage_; }
 
+  /// Expires when the engine is destroyed. A service keeps it so that its
+  /// destructor detaches nothing from an engine destroyed before it.
+  std::weak_ptr<const void> lifetime() const { return lifetime_; }
+
   /// The reader–writer lock over engine/catalog state. Concurrent callers
   /// hold it shared across the read path (`Submit`, `SubmitBatch`,
   /// `Evaluate`, `Complete`) and exclusive around `AcceptProposal`; the
@@ -208,14 +212,14 @@ class PcqeEngine {
       const std::vector<QueryRequest>& requests) const
       PCQE_REQUIRES_SHARED(catalog_mu_);
 
-  /// Step 1 alone: evaluates the SQL and computes result confidences. The
-  /// returned `QueryResult` is user-independent (no policy applied), which
-  /// makes it shareable across subjects — the service layer caches it keyed
-  /// on (normalized SQL, catalog generation). When `trace` is
-  /// non-null an "evaluate" span (with parse/plan/execute/lineage children)
-  /// is added. A non-null `profile` collects per-operator statistics
-  /// (`EXPLAIN ANALYZE`) and feeds the `pcqe_query_operator_seconds_*`
-  /// histograms. A set `pushdown_beta` asks the planner to prune base
+  /// Step 1 alone: evaluates the SQL with the vectorized interpreter and
+  /// computes result confidences. The returned `QueryResult` is
+  /// user-independent (no policy applied), which makes it shareable across
+  /// subjects — the service layer caches it keyed on (normalized SQL,
+  /// catalog generation). When `trace` is non-null an "evaluate" span (with
+  /// parse/plan/execute/lineage children) is added. A non-null `profile`
+  /// collects per-operator statistics (`EXPLAIN ANALYZE`) and feeds the
+  /// `pcqe_query_operator_seconds_*` histograms. A set `pushdown_beta` asks the planner to prune base
   /// tuples at or below that confidence under every scan (see
   /// `ResolvePushdownBeta` — only pass a β that resolver returned for the
   /// requesting subject; the result then differs from the unpushed one only
@@ -272,27 +276,8 @@ class PcqeEngine {
   const Catalog& catalog() const { return *catalog_; }
   /// @}
 
-  /// Problems at or below this base-tuple count use the exact solver under
-  /// `SolverKind::kAuto`.
-  size_t auto_heuristic_limit = 10;
-
   /// Confidence-increment granularity δ used when posing strategy problems.
   double improvement_delta = 0.1;
-
-  /// Under a finite request deadline, `kAuto` (and an explicit `kHeuristic`)
-  /// first runs a deadline-bounded greedy pass whose result both primes the
-  /// exact search (initial upper bound + feasible incumbent) and serves as
-  /// the anytime fallback; when the remaining budget is already below
-  /// `pressure_fallback_seconds` the exact pass is skipped entirely and the
-  /// greedy plan is returned tagged `partial` (feasible, not proven optimal).
-  bool greedy_fallback_under_pressure = true;
-  double pressure_fallback_seconds = 0.010;
-
-  /// Which query interpreter `Evaluate` runs. Both produce bit-identical
-  /// results (rows, confidences, lineage — see tests/vectorized_test.cc);
-  /// the row engine is kept as the differential reference, the vectorized
-  /// column-chunk engine is the default.
-  ExecutionMode execution_mode = ExecutionMode::kVectorized;
 
   /// Worker-lane budget for the strategy solvers (0 = hardware concurrency,
   /// 1 = fully sequential). The solvers return identical solutions at any
@@ -332,14 +317,13 @@ class PcqeEngine {
     Counter* deadline_exceeded = nullptr;
     Counter* partial = nullptr;
     Histogram* solve_seconds = nullptr;
-    /// Vectorized-interpreter throughput counters (zero under `kRow`).
+    /// Vectorized-interpreter throughput counters.
     Counter* vec_chunks = nullptr;
     Counter* vec_rows = nullptr;
     Counter* vec_join_groups = nullptr;
     Counter* vec_fallback_rows = nullptr;
     /// β-pushdown counters: whole chunks skipped by their confidence
-    /// bounds (vectorized engine only) and rows pruned under scans (both
-    /// engines).
+    /// bounds and rows pruned under scans.
     Counter* pushdown_chunks_pruned = nullptr;
     Counter* pushdown_rows_pruned = nullptr;
     /// `pcqe_solver_<field>_total`, in `SolverEffort::Items()` order.
@@ -373,6 +357,7 @@ class PcqeEngine {
   StorageManager* storage_ = nullptr;      // borrowed; may be null
   AuditLog* audit_ = nullptr;              // borrowed; may be null
   EngineMetrics metrics_;
+  std::shared_ptr<const void> lifetime_ = std::make_shared<char>(0);
 };
 
 }  // namespace pcqe

@@ -1,5 +1,6 @@
 // Copyright (c) PCQE contributors.
-// The execution-engine knob: row-at-a-time reference vs. vectorized core.
+// Which plan interpreter runs a query: the vectorized core that serves, or
+// the row-at-a-time oracle it is checked against.
 
 #ifndef PCQE_QUERY_EXECUTION_MODE_H_
 #define PCQE_QUERY_EXECUTION_MODE_H_
@@ -7,17 +8,15 @@
 #include <cstdint>
 #include <string>
 
-#include "common/result.h"
-#include "common/status.h"
-
 namespace pcqe {
 
 /// \brief Which plan interpreter executes a query.
 ///
 /// Both engines produce bit-identical results (values, row order, released
-/// sets, confidences, solver costs) — `kRow` is kept as the differential
-/// reference the vectorized core is continuously checked against (see
-/// tests/vectorized_test.cc), and as a debugging fallback.
+/// sets, confidences, solver costs). The vectorized core is the only one
+/// that serves; `kRow` is reachable only through `RunQuery`, as the
+/// differential oracle the vectorized core is continuously checked against
+/// (see tests/vectorized_test.cc).
 enum class ExecutionMode : uint8_t {
   kRow = 0,         ///< tuple-at-a-time interpreter (query/executor.h)
   kVectorized = 1,  ///< column-chunk interpreter (query/vec_executor.h)
@@ -26,14 +25,6 @@ enum class ExecutionMode : uint8_t {
 /// Canonical lowercase name ("row" / "vectorized").
 inline std::string ExecutionModeToString(ExecutionMode mode) {
   return mode == ExecutionMode::kRow ? "row" : "vectorized";
-}
-
-/// Parses "row", "vec" or "vectorized" (exact, lowercase).
-[[nodiscard]] inline Result<ExecutionMode> ParseExecutionMode(const std::string& text) {
-  if (text == "row") return ExecutionMode::kRow;
-  if (text == "vec" || text == "vectorized") return ExecutionMode::kVectorized;
-  return Status::InvalidArgument("unknown execution mode '" + text +
-                                 "' (want row|vec|vectorized)");
 }
 
 /// \brief Counters the vectorized interpreter reports per query.
@@ -60,16 +51,6 @@ struct VecExecStats {
   /// Base rows dropped by β pushdown before reaching the operators above
   /// (both engines report this; the row engine fills only this field).
   uint64_t pruned_rows = 0;
-
-  void Merge(const VecExecStats& o) {
-    chunks_scanned += o.chunks_scanned;
-    rows_scanned += o.rows_scanned;
-    join_groups += o.join_groups;
-    if (o.max_group_rows > max_group_rows) max_group_rows = o.max_group_rows;
-    fallback_rows += o.fallback_rows;
-    pruned_chunks += o.pruned_chunks;
-    pruned_rows += o.pruned_rows;
-  }
 };
 
 }  // namespace pcqe

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/string_util.h"
+#include "query/executor.h"
 #include "query/parser.h"
 #include "query/planner.h"
 #include "query/vec_executor.h"
@@ -140,8 +141,6 @@ Result<QueryResult> RunQuery(const Catalog& catalog, const std::string& sql,
   QueryResult result;
   result.schema = plan->output_schema;
   result.arena = std::make_shared<LineageArena>();
-  result.plan_text = plan->ToString();
-  result.mode = mode;
   result.tables = CollectScannedTables(*plan);
   result.pushed_down = ContainsConfidencePrune(*plan);
 

@@ -13,8 +13,8 @@
 #include "lineage/evaluate.h"
 #include "lineage/lineage.h"
 #include "query/execution_mode.h"
-#include "query/executor.h"
 #include "relational/catalog.h"
+#include "telemetry/profile.h"
 #include "telemetry/trace.h"
 
 namespace pcqe {
@@ -42,15 +42,11 @@ struct QueryResult {
   Schema schema;
   std::vector<Row> rows;
   std::shared_ptr<LineageArena> arena;
-  /// EXPLAIN-style rendering of the executed plan.
-  std::string plan_text;
   /// Base tables the query scanned (deduplicated, in plan order). Policy
   /// resolution uses these to apply table-scoped confidence policies.
   std::vector<std::string> tables;
-  /// Which interpreter produced this result.
-  ExecutionMode mode = ExecutionMode::kRow;
-  /// Vectorized-interpreter counters. Under `mode == kRow` only
-  /// `pruned_rows` can be non-zero (β pushdown's row-exact fallback).
+  /// Vectorized-interpreter counters. The row interpreter fills only
+  /// `pruned_rows` (β pushdown's row-exact prune).
   VecExecStats vec_stats;
   /// True when the executed plan carried at least one `kConfidencePrune`
   /// node, i.e. β pushdown actually applied (a pushdown request against an
@@ -63,7 +59,8 @@ struct QueryResult {
   /// over one table — lineage formulas (`MaterializeLineage`) on demand.
   /// Scan factors borrow the scanned tables' column chunks — materialize
   /// before dropping or reloading the catalog. Null when everything is
-  /// materialized eagerly (the `RunQuery` default) or `mode == kRow`.
+  /// materialized eagerly (the `RunQuery` default) or the row interpreter
+  /// ran.
   std::shared_ptr<const VecResult> columnar;
   /// True while `rows[i].values` is empty and boxes via `columnar`.
   bool defer_values = false;
@@ -116,8 +113,9 @@ struct QueryResult {
 /// Parses, plans, executes and confidence-annotates `sql` against `catalog`.
 /// When `trace` is non-null, one child span per pipeline stage ("parse",
 /// "plan", "execute", "lineage") is added under the currently open span.
-/// `mode` selects the interpreter; both produce bit-identical results (the
-/// row engine is kept as the differential reference — see
+/// `mode` selects the interpreter. The vectorized one serves every query;
+/// `ExecutionMode::kRow` reaches the row interpreter, which is kept only as
+/// the differential oracle the vectorized one must match bit for bit (see
 /// tests/vectorized_test.cc). With `materialize_values` false the vectorized
 /// engine skips per-row value boxing and — when the result is purely
 /// factorized over scans, or is a DISTINCT or GROUP BY over one table —

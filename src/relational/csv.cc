@@ -185,6 +185,8 @@ void AppendCsvCell(std::string* out, const ColumnChunk& chunk, size_t offset,
       break;
     case DataType::kDouble:
       AppendDouble(out, chunk.DoubleAt(offset), 17);
+      // Bare digits ("3", "-0") would read back as BIGINT, losing -0.0's sign.
+      if (out->find_first_not_of("-0123456789", start) == std::string::npos) *out += ".0";
       break;
   }
   // Digits and booleans need quotes only under an unusual delimiter.

@@ -70,8 +70,10 @@ void AppendCsvField(std::string* out, std::string_view field, char delimiter = '
 /// \brief Appends cell `offset` of `chunk` to `out` as one CSV field,
 /// straight from the typed array: empty for NULL, `true`/`false`, the
 /// integer's digits, the double with 17 significant digits (which reads
-/// back bit for bit), or the string, quoted when it needs it and `""` when
-/// empty. Writes no line end and no delimiter.
+/// back bit for bit; an integral one keeps a `.0`, as in `3.0` or `-0.0`,
+/// so type inference reads it back as DOUBLE, sign of zero included), or
+/// the string, quoted when it needs it and `""` when empty. Writes no line
+/// end and no delimiter.
 void AppendCsvCell(std::string* out, const ColumnChunk& chunk, size_t offset,
                    char delimiter = ',');
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common/string_util.h"
 #include "relational/csv.h"
@@ -156,7 +157,11 @@ Status SaveDatabase(const Catalog& catalog, const std::string& dir) {
   return WriteFile(dir + "/manifest.pcqe", manifest);
 }
 
-Status LoadDatabase(const std::string& dir, Catalog* catalog) {
+namespace {
+
+/// `LoadDatabase` without the rollback; names every table it creates in `created`.
+Status LoadTables(const std::string& dir, Catalog* catalog,
+                  std::vector<std::string>* created) {
   PCQE_ASSIGN_OR_RETURN(std::string manifest, ReadFile(dir + "/manifest.pcqe"));
   std::istringstream lines(manifest);
   std::string line;
@@ -248,6 +253,7 @@ Status LoadDatabase(const std::string& dir, Catalog* catalog) {
     } else {
       PCQE_ASSIGN_OR_RETURN(table, catalog->CreateTable(name, schema));
     }
+    created->push_back(name);
 
     // Rows.
     PCQE_ASSIGN_OR_RETURN(std::string csv, ReadFile(dir + "/" + name + ".csv"));
@@ -293,6 +299,19 @@ Status LoadDatabase(const std::string& dir, Catalog* catalog) {
   }
   if (v2) catalog->RestoreConfidenceVersion(confidence_version);
   return Status::OK();
+}
+
+}  // namespace
+
+Status LoadDatabase(const std::string& dir, Catalog* catalog) {
+  std::vector<std::string> created;
+  Status loaded = LoadTables(dir, catalog, &created);
+  if (!loaded.ok()) {
+    // All or nothing: the tables this call created go again, so a retry
+    // with fixed files starts from where this call started.
+    for (const std::string& name : created) (void)catalog->DropTable(name);
+  }
+  return loaded;
 }
 
 }  // namespace pcqe

@@ -34,6 +34,10 @@ namespace pcqe {
 /// tables and all-NULL columns round-trip exactly. Table creation errors
 /// (e.g. a name collision with an existing table) abort the load.
 ///
+/// The load is all or nothing: on any error every table this call created
+/// is dropped again before the error returns, so the catalog holds the
+/// tables it held before the call and a retry with fixed files can succeed.
+///
 /// Format-2 snapshots restore each table under its persisted table id —
 /// `BaseTupleId`s embed the table id, so a reload reproduces the exact
 /// tuple-id assignment (the durability WAL depends on this) — and raise

@@ -15,6 +15,16 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Ring sizes of the tracer and audit log a service owns when lent none.
+constexpr size_t kOwnedTraceCapacity = 64;
+constexpr size_t kOwnedAuditCapacity = 256;
+
+/// Deadline of a request with `timeout_ms` from `start`; 0 means none.
+Deadline RequestDeadline(Clock::time_point start, int64_t timeout_ms) {
+  return timeout_ms > 0 ? Deadline::At(start + std::chrono::milliseconds(timeout_ms))
+                        : Deadline::Infinite();
+}
+
 uint64_t ElapsedUs(Clock::time_point since) {
   return static_cast<uint64_t>(std::max<int64_t>(
       0, std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - since)
@@ -25,14 +35,15 @@ uint64_t ElapsedUs(Clock::time_point since) {
 
 QueryService::QueryService(PcqeEngine* engine, ServiceOptions options)
     : engine_(engine),
+      engine_lifetime_(engine->lifetime()),
       options_(options),
       owned_registry_(options.registry == nullptr ? std::make_unique<TelemetryRegistry>()
                                                   : nullptr),
       owned_tracer_(options.tracer == nullptr
-                        ? std::make_unique<Tracer>(options.trace_capacity)
+                        ? std::make_unique<Tracer>(kOwnedTraceCapacity)
                         : nullptr),
       owned_audit_(options.audit == nullptr
-                       ? std::make_unique<AuditLog>(options.audit_capacity)
+                       ? std::make_unique<AuditLog>(kOwnedAuditCapacity)
                        : nullptr),
       registry_(options.registry != nullptr ? options.registry : owned_registry_.get()),
       tracer_(options.tracer != nullptr ? options.tracer : owned_tracer_.get()),
@@ -42,14 +53,13 @@ QueryService::QueryService(PcqeEngine* engine, ServiceOptions options)
   cache_.AttachTelemetry(registry_);
   tracer_->AttachTelemetry(registry_);
   audit_->AttachTelemetry(registry_);
-  if (options_.execution_mode.has_value()) {
-    engine_->execution_mode = *options_.execution_mode;
-  }
   if (engine_->telemetry() == nullptr) {
     engine_->AttachTelemetry(registry_, tracer_);
+    attached_telemetry_ = true;
   }
   if (engine_->audit() == nullptr) {
     engine_->AttachAudit(audit_);
+    attached_audit_ = true;
   }
   queue_depth_gauge_ =
       registry_->GetGauge("pcqe_service_queue_depth", "Requests waiting for a worker");
@@ -95,13 +105,18 @@ QueryService::QueryService(PcqeEngine* engine, ServiceOptions options)
 
 QueryService::~QueryService() {
   Shutdown();
-  // The engine may outlive this service; never leave it pointing at the
-  // storage manager that dies with us.
+  // The engine may outlive this service: undo the constructor's attachments,
+  // so it never points at what dies with us and a later service attaches its
+  // own. An engine destroyed first has nothing left to undo.
+  if (engine_lifetime_.expired()) return;
+  if (attached_telemetry_ && engine_->telemetry() == registry_) {
+    engine_->AttachTelemetry(nullptr, nullptr);
+  }
+  if (attached_audit_ && engine_->audit() == audit_) {
+    engine_->AttachAudit(nullptr);
+  }
   if (owned_storage_ != nullptr && engine_->storage() == owned_storage_.get()) {
     engine_->AttachStorage(nullptr);
-  }
-  if (owned_audit_ != nullptr && engine_->audit() == owned_audit_.get()) {
-    engine_->AttachAudit(nullptr);
   }
 }
 
@@ -124,12 +139,7 @@ Result<std::future<Result<QueryOutcome>>> QueryService::SubmitAsync(
   pending.session = session;
   pending.request = std::move(request);
   pending.enqueued = Clock::now();
-  int64_t timeout_ms = pending.request.timeout_ms > 0 ? pending.request.timeout_ms
-                                                      : options_.default_timeout_ms;
-  pending.deadline =
-      timeout_ms > 0
-          ? Deadline::At(pending.enqueued + std::chrono::milliseconds(timeout_ms))
-          : Deadline::Infinite();
+  pending.deadline = RequestDeadline(pending.enqueued, pending.request.timeout_ms);
   std::future<Result<QueryOutcome>> future = pending.promise.get_future();
 
   {
@@ -163,10 +173,7 @@ Result<std::future<Result<QueryOutcome>>> QueryService::SubmitAsync(
 
 Result<QueryOutcome> QueryService::Submit(const SessionHandle& session,
                                           ServiceRequest request) {
-  int64_t timeout_ms =
-      request.timeout_ms > 0 ? request.timeout_ms : options_.default_timeout_ms;
-  Deadline deadline =
-      timeout_ms > 0 ? Deadline::AfterMillis(timeout_ms) : Deadline::Infinite();
+  Deadline deadline = RequestDeadline(Clock::now(), request.timeout_ms);
   if (workers_.empty()) {
     // No workers to hand off to: run on the caller's thread.
     stats_.OnSubmitted();
@@ -274,18 +281,16 @@ Result<QueryOutcome> QueryService::Execute(const SessionHandle& session,
       evaluated = cache_.Insert(key, generation, std::move(fresh));
     }
 
-    if (options_.adaptive_solver_lanes) {
-      // Share the hardware between in-flight requests: a lone request fans
-      // the solver out to the engine's full budget, a saturated service
-      // degrades toward one lane each. Counters and solutions are
-      // lane-count independent, so this only trades wall clock.
-      size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
-      size_t budget = engine_->solver_parallelism.Resolve();
-      size_t lanes = std::max<size_t>(
-          1, std::min(budget, hw / std::max<size_t>(1, active)));
-      engine_request.solver_lanes = SolverParallelism{lanes};
-      solver_lanes_gauge_->Set(static_cast<int64_t>(lanes));
-    }
+    // Share the hardware between in-flight requests: a lone request fans the
+    // solver out to the engine's full budget, a saturated service degrades
+    // toward one lane each. Counters and solutions are lane-count
+    // independent, so this only trades wall clock.
+    size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
+    size_t budget = engine_->solver_parallelism.Resolve();
+    size_t lanes =
+        std::max<size_t>(1, std::min(budget, hw / std::max<size_t>(1, active)));
+    engine_request.solver_lanes = SolverParallelism{lanes};
+    solver_lanes_gauge_->Set(static_cast<int64_t>(lanes));
     // Completion copies the shared evaluation into the outcome: rows are
     // duplicated, the lineage arena is shared by shared_ptr and read-only.
     PCQE_ASSIGN_OR_RETURN(QueryOutcome completed,

@@ -43,7 +43,6 @@
 #include <deque>
 #include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,8 +67,6 @@ struct ServiceOptions {
   /// Admission bound: submissions beyond this many queued requests are
   /// rejected with `kResourceExhausted`.
   size_t queue_capacity = 64;
-  /// Applied when a request's own `timeout_ms` is 0. 0 = no deadline.
-  int64_t default_timeout_ms = 0;
   /// Blocking `Submit` re-attempts after a retryable `kResourceExhausted`
   /// admission rejection (queue full or shed — never after shutdown), with
   /// exponential backoff starting at `retry_backoff_ms` and bounded by the
@@ -85,34 +82,18 @@ struct ServiceOptions {
   /// Entry bound of the confidence-result cache; 0 disables caching.
   size_t cache_capacity = 128;
   /// Metrics registry and trace ring the service publishes to. Borrowed
-  /// (must outlive the service); null means the service owns private ones,
-  /// reachable via `telemetry()` / `tracer()`. The engine, if it has no
-  /// telemetry attached yet, is attached to the service's.
+  /// (must outlive the service); null means the service owns private ones
+  /// (a 64-trace ring), reachable via `telemetry()` / `tracer()`. Pass a
+  /// `tracer` for another ring size. The engine, if it has no telemetry
+  /// attached yet, is attached to the service's until the service dies.
   TelemetryRegistry* registry = nullptr;
   Tracer* tracer = nullptr;
-  /// Capacity of the service-owned trace ring (only used when `tracer` is
-  /// null).
-  size_t trace_capacity = 64;
   /// Compliance audit log the engine appends policy decisions to. Borrowed
-  /// (must outlive the service); null means the service owns a private one,
-  /// reachable via `audit()`. The engine, if it has no audit log attached
-  /// yet, is attached to the service's.
+  /// (must outlive the service); null means the service owns a private
+  /// 256-record one, reachable via `audit()`. Pass an `audit` for another
+  /// capacity (0 disables recording). The engine, if it has no audit log
+  /// attached yet, is attached to the service's until the service dies.
   AuditLog* audit = nullptr;
-  /// Capacity of the service-owned audit ring (only used when `audit` is
-  /// null); 0 disables audit recording.
-  size_t audit_capacity = 256;
-  /// Choose each request's solver lane budget as
-  /// `max(1, hardware_threads / active_requests)` (capped at the engine's
-  /// own budget), so a lone request fans out wide while a full worker pool
-  /// degrades to one lane per request instead of oversubscribing.
-  /// Solutions and effort counters are lane-count independent, so this
-  /// only trades wall clock. The last decision is exported as the
-  /// `pcqe_service_solver_lanes` gauge.
-  bool adaptive_solver_lanes = true;
-  /// When set, overrides the engine's `execution_mode` at construction
-  /// (row vs. vectorized query interpreter). Unset leaves the engine's own
-  /// setting — vectorized by default — untouched.
-  std::optional<ExecutionMode> execution_mode = std::nullopt;
   /// Durable catalog (src/storage/). With a non-empty `durability.dir` the
   /// service opens (and, when a manifest exists, *recovers*) the directory
   /// on construction and every `Accept` becomes a WAL-logged transaction.
@@ -132,7 +113,7 @@ struct ServiceRequest {
   /// expires completes with `kResourceExhausted`, and a request that reaches
   /// the engine carries the remaining budget into the strategy solve (on
   /// expiry mid-solve the outcome's proposal is the solver's best anytime
-  /// plan, tagged `partial`). 0 = use the service default.
+  /// plan, tagged `partial`). 0 = no deadline.
   int64_t timeout_ms = 0;
   /// Optional caller-owned cancellation flag, forwarded into the engine's
   /// solvers; must outlive the request's future.
@@ -150,13 +131,16 @@ struct ServiceRequest {
 
 /// \brief Concurrent, policy-compliant query service over one engine.
 ///
-/// The engine (and its catalog) must outlive the service. All public methods
-/// are thread-safe.
+/// The engine (and its catalog) must outlive the service's requests; only its
+/// destructor tolerates an engine destroyed first. All public methods are
+/// thread-safe.
 class QueryService {
  public:
   QueryService(PcqeEngine* engine, ServiceOptions options);
 
-  /// Drains and stops the workers (`Shutdown`).
+  /// Drains and stops the workers (`Shutdown`), then detaches from the
+  /// engine whatever the constructor attached to it (telemetry, audit log,
+  /// storage), so an engine that outlives the service never points into it.
   ~QueryService();
 
   QueryService(const QueryService&) = delete;
@@ -272,6 +256,8 @@ class QueryService {
   void RefreshGauges();
 
   PcqeEngine* engine_;
+  /// Expired once the engine is gone (see `PcqeEngine::lifetime`).
+  std::weak_ptr<const void> engine_lifetime_;
   ServiceOptions options_;
 
   /// Owned fallbacks when `ServiceOptions` supplies no registry/tracer.
@@ -282,6 +268,10 @@ class QueryService {
   TelemetryRegistry* registry_;  // never null after construction
   Tracer* tracer_;               // never null after construction
   AuditLog* audit_;              // never null after construction
+  /// Whether the constructor attached `registry_`/`tracer_` and `audit_`
+  /// to the engine; the destructor detaches exactly those.
+  bool attached_telemetry_ = false;
+  bool attached_audit_ = false;
 
   /// Service-owned storage when `ServiceOptions::durability` asked for it
   /// and the engine had none attached; `storage_` also covers the case of

@@ -95,9 +95,11 @@ class StorageManager {
   /// Re-runs recovery on the attached catalog (checkpoint load + replay),
   /// discarding all non-durable in-memory state — the test seam that
   /// models a crash without exiting the process. Caller holds the
-  /// catalog's writer lock. On failure the catalog may be partially
-  /// rebuilt and the manager refuses further logging until a successful
-  /// `Recover`.
+  /// catalog's writer lock. On failure the manager refuses further logging
+  /// until a successful `Recover`, and the catalog holds no table when the
+  /// checkpoint failed to load (recovery clears it first, and a failed
+  /// `LoadDatabase` drops every table it created), or the checkpoint with
+  /// part of the log replayed when replay failed.
   [[nodiscard]] Status Recover();
 
   /// Registers the `pcqe_storage_*` counters on `registry` (borrowed) and

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include "query/parser.h"
+#include "query/planner.h"
 #include "query/query_engine.h"
 #include "relational/catalog.h"
 
 namespace pcqe {
 namespace {
+
+/// The planner's EXPLAIN rendering of `sql`: the plan `RunQuery` executes.
+std::string PlanText(const Catalog& catalog, const std::string& sql) {
+  return (*PlanQuery(catalog, **ParseSelect(sql)))->ToString();
+}
 
 class AggregateDb : public ::testing::Test {
  protected:
@@ -223,10 +230,11 @@ TEST_F(AggregateDb, DistinctAfterAggregation) {
 }
 
 TEST_F(AggregateDb, AggregatePlanRendered) {
-  QueryResult r = *RunQuery(
-      catalog_, "SELECT customer, COUNT(*) FROM orders GROUP BY customer");
-  EXPECT_NE(r.plan_text.find("Aggregate"), std::string::npos);
-  EXPECT_NE(r.plan_text.find("COUNT(*)"), std::string::npos);
+  const std::string sql = "SELECT customer, COUNT(*) FROM orders GROUP BY customer";
+  ASSERT_TRUE(RunQuery(catalog_, sql).ok());
+  std::string plan_text = PlanText(catalog_, sql);
+  EXPECT_NE(plan_text.find("Aggregate"), std::string::npos);
+  EXPECT_NE(plan_text.find("COUNT(*)"), std::string::npos);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 namespace pcqe {
 namespace {
 
@@ -208,24 +211,45 @@ TEST(ImportCsvTest, QuotedEmptyIsEmptyStringUnquotedIsNull) {
 // confidences with 17 significant digits, '' apart from NULL.
 TEST(ExportCsvTest, RoundTripIsExact) {
   Catalog catalog;
+  // `w` holds integral doubles only. Written as bare digits they would read
+  // back as a BIGINT column, and -0.0 as 0; value equality alone cannot see
+  // either, so the check below compares column types and bits.
   Table* t = *catalog.CreateTable("t", Schema({{"s", DataType::kString, ""},
-                                               {"x", DataType::kDouble, ""}}));
-  ASSERT_TRUE(t->Insert({Value::String(""), Value::Double(-0.12345678901234566)},
+                                               {"x", DataType::kDouble, ""},
+                                               {"w", DataType::kDouble, ""}}));
+  ASSERT_TRUE(t->Insert({Value::String(""), Value::Double(-0.12345678901234566),
+                         Value::Double(3.0)},
                         0.30000000000000004)
                   .ok());
-  ASSERT_TRUE(t->Insert({Value::Null(), Value::Double(1e-300)}, 0.1).ok());
+  ASSERT_TRUE(
+      t->Insert({Value::Null(), Value::Double(1e-300), Value::Double(-0.0)}, 0.1).ok());
+  ASSERT_TRUE(
+      t->Insert({Value::String("big"), Value::Double(2.5), Value::Double(1e16)}, 0.5).ok());
   CsvOptions options;
   options.confidence_column = "conf";
   const std::string exported = ExportCsv(*t, options);
   EXPECT_EQ(exported,
-            "s,x,conf\n\"\",-0.12345678901234566,0.30000000000000004\n"
-            ",1e-300,0.10000000000000001\n");
+            "s,x,w,conf\n\"\",-0.12345678901234566,3.0,0.30000000000000004\n"
+            ",1e-300,-0.0,0.10000000000000001\n"
+            "big,2.5,10000000000000000.0,0.5\n");
   Catalog again;
   Table* t2 = *ImportCsv(&again, "t", exported, options);
-  ASSERT_EQ(t2->num_tuples(), 2u);
-  for (size_t r = 0; r < 2; ++r) {
-    EXPECT_EQ(t2->tuple(r).value(0), t->tuple(r).value(0)) << r;
-    EXPECT_EQ(t2->tuple(r).value(1), t->tuple(r).value(1)) << r;
+  ASSERT_EQ(t2->num_tuples(), 3u);
+  for (size_t c = 0; c < 3; ++c) {
+    EXPECT_EQ(t2->schema().column(c).type, t->schema().column(c).type) << "column " << c;
+  }
+  for (size_t r = 0; r < 3; ++r) {
+    for (size_t c = 0; c < 3; ++c) {
+      SCOPED_TRACE(::testing::Message() << "row " << r << " column " << c);
+      const Value want = t->tuple(r).value(c);
+      const Value got = t2->tuple(r).value(c);
+      EXPECT_EQ(got, want);
+      ASSERT_EQ(got.type(), want.type());
+      if (want.type() == DataType::kDouble) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(*got.AsDouble()),
+                  std::bit_cast<uint64_t>(*want.AsDouble()));
+      }
+    }
     EXPECT_EQ(t2->tuple(r).confidence(), t->tuple(r).confidence()) << r;
   }
   EXPECT_EQ(ExportCsv(*t2, options), exported);

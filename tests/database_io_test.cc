@@ -144,13 +144,13 @@ TEST(DatabaseIoTest, SnapshotBytesAreGolden) {
             "name\tVARCHAR\nn\tBIGINT\nx\tDOUBLE\nflag\tBOOLEAN\n");
   EXPECT_EQ(ReadAll(dir + "/golden.csv"),
             "name,n,x,flag,__confidence,__max_confidence,__cost\n"
-            "\"say \"\"hi\"\", ok\",-42,-0,true,0.37,0.90000000000000002,linear(a=2)\n"
+            "\"say \"\"hi\"\", ok\",-42,-0.0,true,0.37,0.90000000000000002,linear(a=2)\n"
             ",,,,0.5,1,linear(a=1)\n"
             "plain,9007199254740993,0.10000000000000001,false,0.10000000000000001,1,"
             "\"polynomial(a=1.5, d=3)\"\n"
             "\"multi\nline\",0,-1234.5678901234567,,0,0.25,\"exponential(a=2, b=0.5)\"\n"
             "\"\",,1.0000000000000001e+300,true,1,1,\"logarithmic(a=4, b=12)\"\n"
-            "x,7,3,false,0.30000000000000004,1,\"step(a=2, delta=0.25)\"\n");
+            "x,7,3.0,false,0.30000000000000004,1,\"step(a=2, delta=0.25)\"\n");
   EXPECT_EQ(ReadAll(dir + "/nulls.schema"), "z\tNULL\n");
   EXPECT_EQ(ReadAll(dir + "/nulls.csv"),
             "z,__confidence,__max_confidence,__cost\n,0.5,1,linear(a=1)\n");
@@ -317,6 +317,40 @@ TEST(DatabaseIoTest, RejectsConfidenceOutsideUnitInterval) {
                                 << "1,0.5,-0.25,linear(a=1)\n";
   Catalog catalog2;
   EXPECT_TRUE(LoadDatabase(dir, &catalog2).IsInvalidArgument());
+}
+
+// A load is all or nothing: a bad cell in the second table drops the first
+// table again, so the catalog is left as it was and a retry with the file
+// fixed succeeds.
+TEST(DatabaseIoTest, FailedLoadLeavesCatalogUnchanged) {
+  Catalog source;
+  Table* a = *source.CreateTable("a", Schema({{"x", DataType::kInt64, ""}}));
+  Table* b = *source.CreateTable("b", Schema({{"y", DataType::kInt64, ""}}));
+  ASSERT_TRUE(a->Insert({Value::Int(1)}, 0.3).ok());
+  ASSERT_TRUE(b->Insert({Value::Int(2)}, 0.4).ok());
+  ASSERT_TRUE(b->Insert({Value::Int(3)}, 0.5).ok());
+  std::string dir = FreshDir("dbio_all_or_nothing");
+  ASSERT_TRUE(SaveDatabase(source, dir).ok());
+  const std::string good_b = ReadAll(dir + "/b.csv");
+  std::string bad_b = good_b;
+  size_t row2 = bad_b.find("\n3,0.5,");
+  ASSERT_NE(row2, std::string::npos) << good_b;
+  bad_b.replace(row2, 7, "\n3,1.5,");
+  std::ofstream(dir + "/b.csv", std::ios::trunc) << bad_b;
+
+  Catalog catalog;
+  ASSERT_TRUE(catalog.CreateTableWithId("keep", Schema({{"k", DataType::kInt64, ""}}), 9).ok());
+  const std::vector<std::string> before = catalog.TableNames();
+  Status failed = LoadDatabase(dir, &catalog);
+  EXPECT_TRUE(failed.IsInvalidArgument()) << failed.ToString();
+  EXPECT_EQ(catalog.TableNames(), before);
+  EXPECT_TRUE(static_cast<const Catalog&>(catalog).GetTable("a").status().IsNotFound());
+
+  std::ofstream(dir + "/b.csv", std::ios::trunc) << good_b;
+  Status retried = LoadDatabase(dir, &catalog);
+  ASSERT_TRUE(retried.ok()) << retried.ToString();
+  EXPECT_EQ(catalog.TableNames(), (std::vector<std::string>{"keep", "a", "b"}));
+  EXPECT_EQ((*catalog.GetTable("b"))->num_tuples(), 2u);
 }
 
 TEST(DatabaseIoTest, HeaderRoundTripsConfidenceVersionAndTableIds) {

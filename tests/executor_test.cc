@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include "query/parser.h"
+#include "query/planner.h"
 #include "query/query_engine.h"
 #include "relational/catalog.h"
 
 namespace pcqe {
 namespace {
+
+/// The planner's EXPLAIN rendering of `sql`: the plan `RunQuery` executes.
+std::string PlanText(const Catalog& catalog, const std::string& sql) {
+  return (*PlanQuery(catalog, **ParseSelect(sql)))->ToString();
+}
 
 /// Builds the paper's §3.1 venture-capital database (Tables 1 and 2).
 /// Proposal tuples 02/03 are BlueSky proposals under one million dollars
@@ -227,21 +234,22 @@ TEST_F(VentureCapitalDb, LimitZeroAndOversized) {
 }
 
 TEST_F(VentureCapitalDb, PredicatePushdownPlacesFiltersBelowJoins) {
-  QueryResult r = *RunQuery(
-      catalog_,
+  const std::string sql =
       "SELECT p.company FROM proposal AS p JOIN companyinfo AS ci "
-      "ON p.company = ci.company WHERE p.funding < 1000000 AND ci.income > 100000");
+      "ON p.company = ci.company WHERE p.funding < 1000000 AND ci.income > 100000";
+  QueryResult r = *RunQuery(catalog_, sql);
+  std::string plan_text = PlanText(catalog_, sql);
   // Both single-table conjuncts sit below the join; the equi conjunct stays
   // as the join predicate.
-  size_t join_pos = r.plan_text.find("Join");
+  size_t join_pos = plan_text.find("Join");
   ASSERT_NE(join_pos, std::string::npos);
-  size_t funding_filter = r.plan_text.find("funding < 1000000");
-  size_t income_filter = r.plan_text.find("income > 100000");
+  size_t funding_filter = plan_text.find("funding < 1000000");
+  size_t income_filter = plan_text.find("income > 100000");
   ASSERT_NE(funding_filter, std::string::npos);
   ASSERT_NE(income_filter, std::string::npos);
   EXPECT_GT(funding_filter, join_pos);  // rendered under (after) the join line
   EXPECT_GT(income_filter, join_pos);
-  EXPECT_NE(r.plan_text.find("Join (p.company = ci.company)"), std::string::npos);
+  EXPECT_NE(plan_text.find("Join (p.company = ci.company)"), std::string::npos);
   // Semantics unchanged: both BlueSky proposals join the BlueSky info row.
   ASSERT_EQ(r.rows.size(), 2u);
   for (const auto& row : r.rows) {
@@ -253,12 +261,12 @@ TEST_F(VentureCapitalDb, PredicatePushdownPlacesFiltersBelowJoins) {
 
 TEST_F(VentureCapitalDb, CrossTableOrPredicateStaysAtJoinLevel) {
   // An OR spanning both tables cannot be pushed below the join.
-  QueryResult r = *RunQuery(
-      catalog_,
+  const std::string sql =
       "SELECT p.company FROM proposal AS p, companyinfo AS ci "
-      "WHERE p.funding < 600000 OR ci.income > 250000");
+      "WHERE p.funding < 600000 OR ci.income > 250000";
+  QueryResult r = *RunQuery(catalog_, sql);
   // Plan: the disjunction is the join predicate (first bindable level).
-  EXPECT_NE(r.plan_text.find("OR"), std::string::npos);
+  EXPECT_NE(PlanText(catalog_, sql).find("OR"), std::string::npos);
   // Semantics: 4 proposals x 3 infos = 12 pairs; funding<6e5 matches 1
   // proposal (x3 infos), income>2.5e5 matches 1 info (x4 proposals),
   // minus the 1 overlap = 3 + 4 - 1 = 6.
@@ -289,11 +297,12 @@ TEST_F(VentureCapitalDb, InAndBetweenEvaluate) {
 }
 
 TEST_F(VentureCapitalDb, PlanTextRendersTree) {
-  QueryResult r =
-      *RunQuery(catalog_, "SELECT company FROM proposal WHERE funding < 1000000");
-  EXPECT_NE(r.plan_text.find("Scan Proposal"), std::string::npos);
-  EXPECT_NE(r.plan_text.find("Filter"), std::string::npos);
-  EXPECT_NE(r.plan_text.find("Project"), std::string::npos);
+  const std::string sql = "SELECT company FROM proposal WHERE funding < 1000000";
+  ASSERT_TRUE(RunQuery(catalog_, sql).ok());
+  std::string plan_text = PlanText(catalog_, sql);
+  EXPECT_NE(plan_text.find("Scan Proposal"), std::string::npos);
+  EXPECT_NE(plan_text.find("Filter"), std::string::npos);
+  EXPECT_NE(plan_text.find("Project"), std::string::npos);
 }
 
 TEST_F(VentureCapitalDb, ToTableRendersHeaderAndRows) {

@@ -150,9 +150,11 @@ struct Observed {
   bool audit_pushed_down = false;
 };
 
+/// One request through the engine: served by `Submit` under `kVectorized`;
+/// under `kRow` the row oracle evaluates it (with the β `Submit` would push)
+/// and the engine completes that result.
 Observed RunOne(PcqeEngine* engine, AuditLog* audit, const std::string& sql,
                 ExecutionMode mode, bool pushdown) {
-  engine->execution_mode = mode;
   QueryRequest request;
   request.sql = sql;
   request.user = "ann";
@@ -161,7 +163,12 @@ Observed RunOne(PcqeEngine* engine, AuditLog* audit, const std::string& sql,
   // is provably identical (the strategy solver never runs in either mode).
   request.required_fraction = 0.0;
   request.pushdown = pushdown;
-  Result<QueryOutcome> outcome = engine->Submit(request);
+  Result<QueryOutcome> outcome =
+      mode == ExecutionMode::kRow
+          ? engine->Complete(request,
+                             *RunQuery(*engine->catalog(), sql, nullptr, ExecutionMode::kRow,
+                                       true, nullptr, engine->ResolvePushdownBeta(request)))
+          : engine->Submit(request);
   EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
   Observed obs;
   if (!outcome.ok()) return obs;

@@ -213,14 +213,14 @@ TEST_F(ServiceStressTest, CachedGroupedEntryIsNeverWritten) {
   // Row-engine oracle per purpose (β 0.05 for analysis, 0.06 for investment).
   QueryResult oracle = *RunQuery(catalog_, sql, nullptr, ExecutionMode::kRow);
   std::vector<std::vector<size_t>> expected(2);
-  engine_->execution_mode = ExecutionMode::kRow;
   for (int u = 0; u < 2; ++u) {
-    QueryOutcome row_outcome =
-        *engine_->Submit({sql, "user" + std::to_string(u), u == 0 ? "analysis" : "investment",
-                          0.0});
+    QueryRequest request{sql, "user" + std::to_string(u), u == 0 ? "analysis" : "investment",
+                         0.0};
+    QueryOutcome row_outcome = *engine_->Complete(
+        request, *RunQuery(catalog_, sql, nullptr, ExecutionMode::kRow, true, nullptr,
+                           engine_->ResolvePushdownBeta(request)));
     expected[static_cast<size_t>(u)] = row_outcome.released;
   }
-  engine_->execution_mode = ExecutionMode::kVectorized;
   ASSERT_LT(expected[0].size(), oracle.rows.size());  // something is blocked
 
   QueryService service(engine_.get(),

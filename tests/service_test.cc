@@ -506,8 +506,7 @@ TEST_F(QueryServiceTest, ProfiledRequestBypassesCacheButPopulatesIt) {
       sam, {.sql = kCandidateQuery, .required_fraction = 0.0, .profile = true});
   ASSERT_NE(profiled.profile, nullptr);
   EXPECT_FALSE(profiled.profile->nodes.empty());
-  EXPECT_EQ(profiled.profile->mode,
-            ExecutionModeToString(engine_->execution_mode));
+  EXPECT_EQ(profiled.profile->mode, "vectorized");
   // Bypassing the lookup means no hit/miss was counted...
   EXPECT_EQ(service->stats().cache_hits, 0u);
   EXPECT_EQ(service->stats().cache_misses, 0u);
@@ -598,6 +597,44 @@ TEST_F(QueryServiceTest, SharedRegistryAcrossEngineAndService) {
   ASSERT_TRUE(service->Submit(sam, {.sql = kCandidateQuery}).ok());
   EXPECT_EQ(registry.GetCounter("pcqe_engine_queries_total")->value(), 1u);
   EXPECT_EQ(tracer.total_recorded(), 1u);
+}
+
+// An engine may outlive a service that lent it telemetry: the destructor
+// detaches what the constructor attached, so a direct Submit afterwards never
+// reads the dead registry or tracer, and a later service attaches its own.
+TEST_F(QueryServiceTest, EngineOutlivesServiceThatAttachedTelemetry) {
+  {
+    auto first = MakeService({.num_workers = 0});
+    EXPECT_EQ(engine_->telemetry(), first->telemetry());
+    EXPECT_EQ(engine_->tracer(), first->tracer());
+    EXPECT_EQ(engine_->audit(), first->audit());
+    SessionHandle sam = *first->OpenSession("sam", "analysis");
+    ASSERT_TRUE(first->Submit(sam, {.sql = kCandidateQuery}).ok());
+  }
+  EXPECT_EQ(engine_->telemetry(), nullptr);
+  EXPECT_EQ(engine_->tracer(), nullptr);
+  EXPECT_EQ(engine_->audit(), nullptr);
+  Result<QueryOutcome> direct = engine_->Submit({kCandidateQuery, "sam", "analysis", 0.5});
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_EQ(direct->trace_id, 0u);
+
+  auto second = MakeService({.num_workers = 0});
+  EXPECT_EQ(engine_->telemetry(), second->telemetry());
+  EXPECT_EQ(engine_->tracer(), second->tracer());
+  SessionHandle sam = *second->OpenSession("sam", "analysis");
+  ASSERT_TRUE(second->Submit(sam, {.sql = kCandidateQuery}).ok());
+  EXPECT_EQ(second->telemetry()->GetCounter("pcqe_engine_queries_total")->value(), 1u);
+}
+
+// The engine may also go first, once the service's requests are done (a
+// holder whose members are assigned in declaration order does this): the
+// service's destructor then leaves the destroyed engine alone.
+TEST_F(QueryServiceTest, ServiceOutlivingItsEngineDetachesNothing) {
+  auto service = MakeService({.num_workers = 1});
+  SessionHandle sam = *service->OpenSession("sam", "analysis");
+  ASSERT_TRUE(service->Submit(sam, {.sql = kCandidateQuery}).ok());
+  engine_.reset();
+  service.reset();
 }
 
 TEST_F(QueryServiceTest, ShedWatermarkTripsBeforeQueueOverflow) {

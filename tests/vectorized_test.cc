@@ -289,8 +289,8 @@ void RunBothAndCompare(const Catalog& catalog, const std::string& sql) {
       RunQuery(catalog, sql, nullptr, ExecutionMode::kVectorized);
   ASSERT_EQ(row_result.ok(), vec_result.ok());
   ASSERT_TRUE(row_result.ok()) << row_result.status().ToString();
-  EXPECT_EQ(row_result->mode, ExecutionMode::kRow);
-  EXPECT_EQ(vec_result->mode, ExecutionMode::kVectorized);
+  // The row interpreter ran: it scans no column chunk.
+  EXPECT_EQ(row_result->vec_stats.chunks_scanned, 0u);
   ExpectBitIdentical(*row_result, *vec_result);
 
   // The engine's serving configuration (deferred boxing): confidences must
@@ -499,9 +499,10 @@ TEST(VectorizedDifferential, StatsCountChunksAndGroups) {
 }
 
 // Engine-level parity: the released row set, released fraction and the
-// strategy proposal (feasibility + exact cost) must match across modes for
-// every β. Solver costs are a function of the blocked rows' lineage, so any
-// drift in lineage or confidence surfaces here as a cost mismatch.
+// strategy proposal (feasibility + exact cost) of a served request must match
+// the row oracle's completed by the same engine, for every β. Solver costs are
+// a function of the blocked rows' lineage, so any drift in lineage or
+// confidence surfaces here as a cost mismatch.
 TEST(VectorizedDifferential, EnginePipelineParityAcrossBeta) {
   // One grouped query and one pure pipeline; both defer their lineage and
   // intern it only when the solver needs the blocked rows.
@@ -534,9 +535,14 @@ TEST(VectorizedDifferential, EnginePipelineParityAcrossBeta) {
       ASSERT_TRUE(policies.AddPolicy(roles, {"Analyst", "analysis", beta}).ok());
       auto engine = std::make_unique<PcqeEngine>(catalog.get(), std::move(roles),
                                                  std::move(policies));
-      engine->execution_mode = mode;
       QueryRequest request{sql, "ana", "analysis", 1.0};
-      outcomes.push_back(*engine->Submit(request));
+      if (mode == ExecutionMode::kRow) {
+        outcomes.push_back(*engine->Complete(
+            request, *RunQuery(*catalog, sql, nullptr, ExecutionMode::kRow, true, nullptr,
+                               engine->ResolvePushdownBeta(request))));
+      } else {
+        outcomes.push_back(*engine->Submit(request));
+      }
       catalogs.push_back(std::move(catalog));
     }
     QueryOutcome& row_out = outcomes[0];

@@ -73,6 +73,14 @@ Rules (ids in brackets; suppress a line with `// pcqe-lint: allow(<rule>)`):
       flips the strictness silently breaks pushdown's release-identity
       guarantee. Call the shared helpers instead, or suppress deliberately
       with `// pcqe-lint: allow(pushdown)`.
+  [reference-executor]    The row interpreter is the vectorized one's
+      differential oracle, not a serving path. In src/ and tools/,
+      `#include "query/executor.h"` and `ExecutionMode::kRow` may appear only
+      in the query-evaluation files that implement or dispatch to it
+      (src/query/{query_engine,executor,exec_common,vec_executor}.* and
+      src/query/execution_mode.h). Everything else evaluates through
+      `PcqeEngine::Evaluate` or `RunQuery`'s default; tests and benches reach
+      the oracle with `RunQuery(..., ExecutionMode::kRow)`.
   [deadline]              No raw `steady_clock::now()` deadline comparisons
       in src/strategy/ or src/service/. Budget checks must go through the
       `Deadline` helper (common/deadline.h: `Expired()`, `RemainingSeconds()`,
@@ -129,6 +137,13 @@ PUSHDOWN_ALLOWED_FILES = (
     "src/query/executor.cc",
     "src/query/vec_executor.cc",
 )
+# The only src/ files that may include the row interpreter or name its mode.
+REFERENCE_EXECUTOR_ALLOWED_RE = re.compile(
+    r"^src/query/(?:(?:query_engine|executor|exec_common|vec_executor)\.(?:h|cc)"
+    r"|execution_mode\.h)$")
+REFERENCE_EXECUTOR_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"query/executor\.h"')
+REFERENCE_EXECUTOR_MODE_RE = re.compile(r"\bExecutionMode::kRow\b")
+
 # A relational comparator that is not the arrow of `->` nor a shift/template
 # bracket pair.
 PUSHDOWN_CMP_RE = re.compile(r"(?<![-<>])[<>]=?(?![<>])")
@@ -346,6 +361,19 @@ def lint_file(relpath, lines, status_fns):
                 "PolicyDecision::Allows / ClearsThreshold (or the pushdown "
                 "operator files) so the strict > beta + kEpsilon convention "
                 "stays in one place"))
+
+        # -- reference-executor --------------------------------------------
+        # The include's path is a string literal, so match it on the raw line.
+        if (in_src or in_tools) and \
+                not REFERENCE_EXECUTOR_ALLOWED_RE.match(relpath) and \
+                not _allowed(raw, "reference-executor") and \
+                (REFERENCE_EXECUTOR_INCLUDE_RE.match(raw) or
+                 REFERENCE_EXECUTOR_MODE_RE.search(code)):
+            out.append(Violation(
+                relpath, i, "reference-executor",
+                "the row interpreter is the differential oracle only; serve "
+                "through PcqeEngine::Evaluate (or RunQuery's default) and "
+                "leave query/executor.h and ExecutionMode::kRow to src/query/"))
 
         # -- deadline ------------------------------------------------------
         if relpath.startswith(("src/strategy/", "src/service/")) and \

@@ -100,20 +100,6 @@ void Shell::RunCommand(const std::string& line) {
               << "ms (expired solves return a partial proposal)\n";
       }
     }
-  } else if (cmd == ".exec") {
-    if (args.empty()) {
-      out() << "execution mode = " << ExecutionModeToString(engine_->execution_mode) << "\n";
-    } else if (args.size() == 1) {
-      auto mode = ParseExecutionMode(args[0]);
-      if (!mode.ok()) {
-        out() << mode.status().ToString() << "\n";
-      } else {
-        engine_->execution_mode = *mode;
-        out() << "execution mode = " << ExecutionModeToString(engine_->execution_mode) << "\n";
-      }
-    } else {
-      out() << "usage: .exec [row|vec]\n";
-    }
   } else if (cmd == ".pushdown") {
     if (args.empty()) {
       out() << "beta pushdown = " << (pushdown_ ? "on" : "off") << "\n";
@@ -200,8 +186,6 @@ void Shell::CmdHelp() {
            "  .fraction <0..1>              required released fraction\n"
            "  .timeout <ms>                 solve budget per query (0 = unlimited);\n"
            "                                expired solves return a partial proposal\n"
-           "  .exec [row|vec]               show/set the query interpreter\n"
-           "                                (vectorized by default; bit-identical results)\n"
            "  .pushdown [on|off]            show/set beta pushdown (on by default;\n"
            "                                prunes sub-beta tuples below joins via\n"
            "                                per-table confidence indexes; released\n"
@@ -520,15 +504,16 @@ void Shell::CmdExplain(const std::string& line) {
     out() << (*plan)->ToString() << "\n";
     return;
   }
-  // `analyze` executes the statement and prints the profiled operator tree;
-  // results are discarded. With an active user the evaluation mirrors a
-  // real submission — same qualification through ResolvePushdownBeta — so
-  // the tree shows the ConfidencePrune operator (and its pruned counters)
-  // exactly as the user's queries run it. Without a user it runs
-  // unfiltered in the current interpreter mode.
+  // `analyze` executes the statement through the engine's evaluation and
+  // prints the profiled operator tree; results are discarded. With an
+  // active user the evaluation mirrors a real submission — same
+  // qualification through ResolvePushdownBeta — so the tree shows the
+  // ConfidencePrune operator (and its pruned counters) exactly as the
+  // user's queries run it. Without a user it runs unpushed.
   OperatorProfile profile;
   auto result = [&]() -> Result<QueryResult> {
     ReaderLock lock(engine_->catalog_mu());
+    std::optional<double> pushdown_beta;
     if (!user_.empty()) {
       QueryRequest request;
       request.sql = rest;
@@ -536,11 +521,9 @@ void Shell::CmdExplain(const std::string& line) {
       request.purpose = purpose_;
       request.required_fraction = fraction_;
       request.pushdown = pushdown_;
-      return engine_->Evaluate(rest, nullptr, &profile,
-                               engine_->ResolvePushdownBeta(request));
+      pushdown_beta = engine_->ResolvePushdownBeta(request);
     }
-    return RunQuery(catalog_, rest, nullptr, engine_->execution_mode,
-                    /*materialize_values=*/false, &profile);
+    return engine_->Evaluate(rest, nullptr, &profile, pushdown_beta);
   }();
   if (!result.ok()) {
     out() << result.status().ToString() << "\n";
@@ -757,9 +740,8 @@ void Shell::RunSql(const std::string& sql) {
   }
 
   if (user_.empty()) {
-    // No session user: run unfiltered, showing raw confidences. Still honor
-    // the .exec interpreter choice so differential smokes can compare modes.
-    auto result = RunQuery(catalog_, sql, nullptr, engine_->execution_mode);
+    // No session user: run unfiltered, showing raw confidences.
+    auto result = RunQuery(catalog_, sql);
     if (!result.ok()) {
       out() << result.status().ToString() << "\n";
       return;

@@ -1,11 +1,11 @@
 #include "cost/cost_function.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <initializer_list>
 #include <utility>
 
 #include "common/string_util.h"
+#include "common/text_io.h"
 
 namespace pcqe {
 
@@ -191,13 +191,12 @@ Result<CostFunctionPtr> ParseCostFunction(const std::string& text) {
           StrFormat("malformed cost parameter '%s'", pair.c_str()));
     }
     std::string key = std::string(TrimAscii(pair.substr(0, eq)));
-    char* end = nullptr;
-    std::string value_text = std::string(TrimAscii(pair.substr(eq + 1)));
-    double value = std::strtod(value_text.c_str(), &end);
-    if (end != value_text.c_str() + value_text.size() || value_text.empty()) {
+    std::optional<double> parsed = ParseDouble(TrimAscii(pair.substr(eq + 1)));
+    if (!parsed) {
       return Status::ParseError(
           StrFormat("non-numeric cost parameter '%s'", pair.c_str()));
     }
+    const double value = *parsed;
     if (key == "a") {
       a = value;
       have_a = true;

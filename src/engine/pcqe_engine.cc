@@ -229,7 +229,7 @@ std::optional<double> PcqeEngine::ResolvePushdownBeta(
 
 Result<size_t> PcqeEngine::FilterOne(const QueryRequest& request, QueryOutcome* outcome,
                                      std::vector<size_t>* blocked) const {
-  if (request.required_fraction < 0.0 || request.required_fraction > 1.0) {
+  if (!(0.0 <= request.required_fraction && request.required_fraction <= 1.0)) {
     return Status::InvalidArgument(
         StrFormat("required_fraction %g outside [0, 1]", request.required_fraction));
   }
@@ -250,6 +250,10 @@ Result<size_t> PcqeEngine::FilterOne(const QueryRequest& request, QueryOutcome* 
   outcome->released_fraction =
       n == 0 ? 1.0
              : static_cast<double>(outcome->released.size()) / static_cast<double>(n);
+  if (metrics_.rows_released != nullptr) {
+    metrics_.rows_released->Increment(outcome->released.size());
+    metrics_.rows_blocked->Increment(blocked->size());
+  }
 
   size_t target = static_cast<size_t>(
       std::ceil(request.required_fraction * static_cast<double>(n)));
@@ -272,10 +276,6 @@ Result<QueryOutcome> PcqeEngine::Complete(const QueryRequest& request,
     filter_span.Annotate("beta", FormatDouble(outcome.policy.threshold, 4));
     filter_span.Annotate("released", std::to_string(outcome.released.size()));
     filter_span.Annotate("blocked", std::to_string(blocked.size()));
-  }
-  if (metrics_.rows_released != nullptr) {
-    metrics_.rows_released->Increment(outcome.released.size());
-    metrics_.rows_blocked->Increment(blocked.size());
   }
   if (needed > 0) {
     // The solvers pool per-row formulas; a deferred result interns them
@@ -306,11 +306,10 @@ std::string BlockedRowLineageSummary(
     const std::map<uint32_t, std::string>& table_names) {
   std::vector<std::string> parts;
   auto add = [&](LineageVarId id) {
-    auto table_id = static_cast<uint32_t>(id >> 32);
-    auto base_row = static_cast<uint32_t>(id & 0xffffffffU);
-    auto it = table_names.find(table_id);
-    std::string table = it != table_names.end() ? it->second : StrFormat("t%u", table_id);
-    parts.push_back(StrFormat("%s#%u", table.c_str(), base_row));
+    auto it = table_names.find(TupleTableId(id));
+    std::string table =
+        it != table_names.end() ? it->second : StrFormat("t%u", TupleTableId(id));
+    parts.push_back(StrFormat("%s#%u", table.c_str(), TupleRow(id)));
   };
   if (!qr.lineage_deferred() && qr.rows[row].lineage != kNullLineage) {
     for (LineageVarId id : qr.arena->Variables(qr.rows[row].lineage)) add(id);
@@ -323,10 +322,10 @@ std::string BlockedRowLineageSummary(
       if (f.group != nullptr) {
         const GroupFactor& g = *f.group;
         for (uint32_t m = g.member_start[r]; m < g.member_start[r + 1]; ++m) {
-          add((static_cast<LineageVarId>(g.table_id) << 32) | g.members[m]);
+          add(MakeTupleId(g.table_id, g.members[m]));
         }
       } else if (f.table != nullptr) {
-        add((static_cast<LineageVarId>(f.table->table_id()) << 32) | r);
+        add(MakeTupleId(f.table->table_id(), r));
       }
     }
   }
@@ -435,6 +434,9 @@ Result<std::vector<QueryOutcome>> PcqeEngine::SubmitBatch(
                      requests[first_short].solver_lanes.value_or(solver_parallelism),
                      requests[first_short].deadline, requests[first_short].cancel));
     outcomes[first_short].proposal = std::move(proposal);
+  }
+  for (size_t q = 0; q < requests.size(); ++q) {
+    outcomes[q].audit_id = RecordQueryAudit(requests[q], outcomes[q], blocked[q]);
   }
   return outcomes;
 }

@@ -207,7 +207,8 @@ class PcqeEngine {
   /// request's requirement simultaneously. All requests must resolve to the
   /// same confidence threshold (same role/purpose class); otherwise
   /// `kInvalidArgument`. Per-request outcomes carry a shared proposal
-  /// (attached to the first outcome whose request needed it).
+  /// (attached to the first outcome whose request needed it). Each request
+  /// is counted and audited as `Complete` counts and audits a lone one.
   [[nodiscard]] Result<std::vector<QueryOutcome>> SubmitBatch(
       const std::vector<QueryRequest>& requests) const
       PCQE_REQUIRES_SHARED(catalog_mu_);
@@ -288,8 +289,9 @@ class PcqeEngine {
 
  private:
   /// Step 2 for one request: validates the required fraction, resolves the
-  /// policy and splits `outcome->intermediate.rows` into released/blocked.
-  /// Returns how many more rows must clear the threshold (0 = satisfied).
+  /// policy, splits `outcome->intermediate.rows` into released/blocked and
+  /// counts both in `pcqe_engine_rows_{released,blocked}_total`. Returns how
+  /// many more rows must clear the threshold (0 = satisfied).
   [[nodiscard]] Result<size_t> FilterOne(const QueryRequest& request, QueryOutcome* outcome,
                                          std::vector<size_t>* blocked) const
       PCQE_REQUIRES_SHARED(catalog_mu_);
@@ -337,7 +339,7 @@ class PcqeEngine {
   /// `pcqe_query_operator_seconds_<kind>` histogram.
   void ObserveOperatorSeconds(const OperatorProfile& profile) const;
 
-  /// Appends the `Complete` decision (β filter + solver outcome) to the
+  /// Appends one request's decision (β filter + solver outcome) to the
   /// attached audit log; returns the record id (0 when unattached).
   [[nodiscard]] uint64_t RecordQueryAudit(const QueryRequest& request,
                                           const QueryOutcome& outcome,

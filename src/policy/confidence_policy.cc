@@ -30,7 +30,7 @@ Status PolicyStore::AddPolicy(const RoleGraph& roles, ConfidencePolicy policy) {
   if (policy.purpose.empty()) {
     return Status::InvalidArgument("policy purpose must be non-empty (use \"*\" for any)");
   }
-  if (policy.threshold < 0.0 || policy.threshold > 1.0) {
+  if (!(0.0 <= policy.threshold && policy.threshold <= 1.0)) {  // NaN too
     return Status::InvalidArgument(
         StrFormat("policy threshold %g outside [0, 1]", policy.threshold));
   }

@@ -1,11 +1,10 @@
 #include "policy/policy_io.h"
 
 #include <cctype>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "common/string_util.h"
+#include "common/text_io.h"
 
 namespace pcqe {
 
@@ -104,16 +103,15 @@ Status ParseAccessConfig(const std::string& text, RoleGraph* roles,
         return context(
             Status::ParseError("policy needs <role> <purpose> <beta> [table]"));
       }
-      char* end = nullptr;
-      double beta = std::strtod(beta_text.c_str(), &end);
-      if (end != beta_text.c_str() + beta_text.size()) {
+      std::optional<double> beta = ParseDouble(beta_text);
+      if (!beta) {
         return context(
             Status::ParseError(StrFormat("beta '%s' is not numeric", beta_text.c_str())));
       }
       std::string table;
       words >> table;  // optional scope
       PCQE_RETURN_NOT_OK(
-          context(policies->AddPolicy(*roles, {role, purpose, beta, table})));
+          context(policies->AddPolicy(*roles, {role, purpose, *beta, table})));
     } else {
       return context(
           Status::ParseError(StrFormat("unknown directive '%s'", directive.c_str())));
@@ -131,20 +129,13 @@ Status ParseAccessConfig(const std::string& text, RoleGraph* roles,
 Status SaveAccessConfig(const RoleGraph& roles, const PolicyStore& policies,
                         const std::string& path) {
   PCQE_ASSIGN_OR_RETURN(std::string text, SerializeAccessConfig(roles, policies));
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::InvalidArgument(StrFormat("cannot write '%s'", path.c_str()));
-  out << text;
-  return out.good() ? Status::OK()
-                    : Status::Internal(StrFormat("write to '%s' failed", path.c_str()));
+  return WriteFile(path, text);
 }
 
 Status LoadAccessConfig(const std::string& path, RoleGraph* roles,
                         PolicyStore* policies) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound(StrFormat("cannot open '%s'", path.c_str()));
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseAccessConfig(buffer.str(), roles, policies);
+  PCQE_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  return ParseAccessConfig(text, roles, policies);
 }
 
 }  // namespace pcqe

@@ -1,8 +1,7 @@
 #include "query/parser.h"
 
-#include <cstdlib>
-
 #include "common/string_util.h"
+#include "common/text_io.h"
 #include "query/lexer.h"
 
 namespace pcqe {
@@ -39,8 +38,9 @@ class Parser {
       if (Peek().type != TokenType::kInteger) {
         return Error("expected integer after LIMIT");
       }
-      stmt->limit = std::strtoll(Peek().text.c_str(), nullptr, 10);
-      if (stmt->limit < 0) return Error("LIMIT must be non-negative");
+      std::optional<int64_t> limit = ParseInt64(Peek().text);
+      if (!limit) return Error("LIMIT out of range");
+      stmt->limit = *limit;  // the token has no sign
       Advance();
     }
     if (Peek().IsOperator(";")) Advance();
@@ -394,14 +394,16 @@ class Parser {
     const Token& t = Peek();
     switch (t.type) {
       case TokenType::kInteger: {
-        int64_t v = std::strtoll(t.text.c_str(), nullptr, 10);
+        std::optional<int64_t> v = ParseInt64(t.text);
+        if (!v) return Error("integer literal out of range");
         Advance();
-        return Expr::Literal(Value::Int(v));
+        return Expr::Literal(Value::Int(*v));
       }
       case TokenType::kFloat: {
-        double v = std::strtod(t.text.c_str(), nullptr);
+        std::optional<double> v = ParseDouble(t.text);
+        if (!v) return Error("numeric literal out of range");
         Advance();
-        return Expr::Literal(Value::Double(v));
+        return Expr::Literal(Value::Double(*v));
       }
       case TokenType::kString: {
         std::string v = t.text;

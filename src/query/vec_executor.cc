@@ -500,8 +500,8 @@ bool VectorExecutor::TryFilterKernel(const VecResult& r, const Expr& conjunct,
     // semantics to Eval (NULL operand drops the row, else Value::Compare).
     size_t col_b = static_cast<size_t>(shape->col_b);
     for (uint32_t i : cand) {
-      Value a = ColumnValue(r, shape->col_a, i);
-      Value b = ColumnValue(r, col_b, i);
+      Value a = r.BoxedValue(shape->col_a, i);
+      Value b = r.BoxedValue(col_b, i);
       if (a.is_null() || b.is_null()) continue;
       if (CompareKeeps(op, a.Compare(b))) cand[kept++] = i;
     }
@@ -524,7 +524,7 @@ bool VectorExecutor::TryFilterKernel(const VecResult& r, const Expr& conjunct,
 
   // Boxed fallback kernel: any column layout / type pairing.
   for (uint32_t i : cand) {
-    Value v = ColumnValue(r, shape->col_a, i);
+    Value v = r.BoxedValue(shape->col_a, i);
     if (v.is_null() || lit.is_null()) continue;
     if (CompareKeeps(op, v.Compare(lit))) cand[kept++] = i;
   }
@@ -621,10 +621,10 @@ Result<VecResult> VectorExecutor::RunJoin(const PlanNode& plan) {
     row_scratch_.clear();
     row_scratch_.reserve(left.columns.size() + right.columns.size());
     for (size_t c = 0; c < left.columns.size(); ++c) {
-      row_scratch_.push_back(ColumnValue(left, c, li));
+      row_scratch_.push_back(left.BoxedValue(c, li));
     }
     for (size_t c = 0; c < right.columns.size(); ++c) {
-      row_scratch_.push_back(ColumnValue(right, c, ri));
+      row_scratch_.push_back(right.BoxedValue(c, ri));
     }
     ++stats_.fallback_rows;
     for (const Expr* res : residual) {
@@ -693,7 +693,7 @@ Result<VecResult> VectorExecutor::RunJoin(const PlanNode& plan) {
         bool has_null = false;
         for (const auto& [l_idx, r_idx] : equi_pairs) {
           (void)l_idx;
-          Value v = ColumnValue(right, r_idx, i);
+          Value v = right.BoxedValue(r_idx, i);
           if (v.is_null()) has_null = true;
           key.push_back(std::move(v));
         }
@@ -704,7 +704,7 @@ Result<VecResult> VectorExecutor::RunJoin(const PlanNode& plan) {
         bool has_null = false;
         for (const auto& [l_idx, r_idx] : equi_pairs) {
           (void)r_idx;
-          Value v = ColumnValue(left, l_idx, i);
+          Value v = left.BoxedValue(l_idx, i);
           if (v.is_null()) has_null = true;
           key.push_back(std::move(v));
         }
@@ -1045,8 +1045,7 @@ double VecResult::DeferredConfidence(size_t row) const {
   double p = 1.0;
   for (const VecFactor& f : factors) {
     const uint32_t r = f.sel[row];
-    const uint64_t id =
-        (static_cast<uint64_t>(f.table->table_id()) << 32) | static_cast<uint64_t>(r);
+    const uint64_t id = MakeTupleId(f.table->table_id(), r);
     bool duplicate = false;
     for (size_t j = 0; j < kept; ++j) {
       if (seen[j] == id) {
@@ -1066,8 +1065,7 @@ LineageRef GroupFactor::Box(LineageArena* arena, uint32_t g,
                             std::vector<LineageRef>* scratch) const {
   scratch->clear();
   for (uint32_t m = member_start[g]; m < member_start[g + 1]; ++m) {
-    scratch->push_back(
-        arena->Var((static_cast<LineageVarId>(table_id) << 32) | members[m]));
+    scratch->push_back(arena->Var(MakeTupleId(table_id, members[m])));
   }
   return disjunctive ? arena->Or(*scratch) : arena->And(*scratch);
 }
@@ -1082,8 +1080,7 @@ LineageRef VecResult::BoxRowLineage(LineageArena* arena, size_t row,
   auto leaf = [&](const VecFactor& f) {
     const uint32_t r = f.sel[row];
     if (f.table == nullptr) return f.lineages[r];
-    return arena->Var((static_cast<LineageVarId>(f.table->table_id()) << 32) |
-                      static_cast<LineageVarId>(r));
+    return arena->Var(MakeTupleId(f.table->table_id(), r));
   };
   if (factors.size() == 1) return leaf(factors[0]);
   scratch->clear();
@@ -1091,16 +1088,12 @@ LineageRef VecResult::BoxRowLineage(LineageArena* arena, size_t row,
   return arena->And(*scratch);
 }
 
-Value VectorExecutor::ColumnValue(const VecResult& r, size_t col, size_t row) const {
-  return r.BoxedValue(col, row);
-}
-
 void VectorExecutor::GatherRow(const VecResult& r, size_t row,
                                std::vector<Value>* out) const {
   out->clear();
   out->reserve(r.columns.size());
   for (size_t c = 0; c < r.columns.size(); ++c) {
-    out->push_back(ColumnValue(r, c, row));
+    out->push_back(r.BoxedValue(c, row));
   }
 }
 
@@ -1113,8 +1106,7 @@ LineageRef VectorExecutor::FactorRef(const VecFactor& f, uint32_t row) {
   }
   LineageRef& slot = cache[row];
   if (slot == kNullLineage) {
-    slot = arena_->Var((static_cast<LineageVarId>(f.table->table_id()) << 32) |
-                       static_cast<LineageVarId>(row));
+    slot = arena_->Var(MakeTupleId(f.table->table_id(), row));
   }
   return slot;
 }
@@ -1132,9 +1124,9 @@ LineageRef VectorExecutor::RowLineage(const VecResult& r, size_t row) {
 }
 
 double VectorExecutor::VarConfidence(LineageVarId id) const {
-  auto it = tables_by_id_.find(static_cast<uint32_t>(id >> 32));
+  auto it = tables_by_id_.find(TupleTableId(id));
   PCQE_CHECK(it != tables_by_id_.end()) << "lineage variable from unscanned table";
-  return it->second->column_data().confidence(static_cast<size_t>(id & 0xFFFFFFFFULL));
+  return it->second->column_data().confidence(TupleRow(id));
 }
 
 double VectorExecutor::ConfidenceOf(LineageRef ref) {  // NOLINT(misc-no-recursion)
@@ -1187,7 +1179,7 @@ Result<std::vector<ExecRow>> VectorExecutor::Materialize(const VecResult& r) {
     ExecRow row;
     row.values.reserve(r.columns.size());
     for (size_t c = 0; c < r.columns.size(); ++c) {
-      row.values.push_back(ColumnValue(r, c, i));
+      row.values.push_back(r.BoxedValue(c, i));
     }
     row.lineage = RowLineage(r, i);
     rows.push_back(std::move(row));

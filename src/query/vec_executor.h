@@ -78,7 +78,7 @@ struct GroupFactor {
 /// selection vector mapping output rows into it.
 struct VecFactor {
   /// Scan factor when non-null: domain rows are table rows, the leaf for
-  /// domain row r is `Var((table_id << 32) | r)`, confidences come from the
+  /// domain row r is `Var(MakeTupleId(table_id, r))`, confidences come from the
   /// table's column chunks.
   const Table* table = nullptr;
   /// Group factor when non-null: domain rows are group ids, whose formulas
@@ -160,9 +160,6 @@ class VectorExecutor {
 
   /// Executes `plan` into a factorized result. Call once per executor.
   [[nodiscard]] Result<VecResult> Execute(const PlanNode& plan);
-
-  /// Boxed value of output column `col`, row `row` of `r`.
-  Value ColumnValue(const VecResult& r, size_t col, size_t row) const;
 
   /// Builds (or reuses) the lineage formula of output row `row`: the AND of
   /// one leaf per factor, constructed with the exact child order the row

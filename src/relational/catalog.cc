@@ -87,20 +87,18 @@ void Catalog::Clear() {
 }
 
 Result<Tuple> Catalog::FindTuple(BaseTupleId id) const {
-  uint32_t table_id = static_cast<uint32_t>(id >> 32);
   for (const auto& [key, table] : tables_) {
     (void)key;
-    if (table->table_id() == table_id) return table->FindTuple(id);
+    if (table->table_id() == TupleTableId(id)) return table->FindTuple(id);
   }
   return Status::NotFound(StrFormat("no table owns tuple id %llu",
                                     static_cast<unsigned long long>(id)));
 }
 
 Status Catalog::SetConfidence(BaseTupleId id, double confidence) {
-  uint32_t table_id = static_cast<uint32_t>(id >> 32);
   for (auto& [key, table] : tables_) {
     (void)key;
-    if (table->table_id() == table_id) {
+    if (table->table_id() == TupleTableId(id)) {
       // The table bumps `generation_`.
       PCQE_RETURN_NOT_OK(table->SetConfidence(id, confidence));
       confidence_version_.fetch_add(1, std::memory_order_release);

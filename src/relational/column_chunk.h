@@ -7,7 +7,7 @@
 // engines: a table is a sequence of fixed-capacity chunks; each chunk holds
 // one typed value vector per column plus the per-row annotations
 // (confidence, ceiling, cost handle) aligned row-for-row with the values.
-// Tuple ids are implicit — `(table_id << 32) | row` exactly as
+// Tuple ids are implicit — `MakeTupleId(table_id, row)` exactly as
 // relational/table.h assigns them — so a chunk never stores ids, and a
 // scan's factorized lineage column is just the row range.
 

@@ -1,11 +1,10 @@
 #include "relational/csv.h"
 
-#include <cctype>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <algorithm>
+#include <span>
 
 #include "common/string_util.h"
+#include "common/text_io.h"
 
 namespace pcqe {
 
@@ -87,57 +86,19 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(const std::string& text,
 
 namespace {
 
-bool ParseInt(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseDouble(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseBool(const std::string& s, bool* out) {
-  if (EqualsIgnoreCaseAscii(s, "true")) {
-    *out = true;
-    return true;
-  }
-  if (EqualsIgnoreCaseAscii(s, "false")) {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
-/// Infers the narrowest type covering every non-empty field of a column.
-DataType InferColumnType(const std::vector<std::vector<std::string>>& rows, size_t col) {
-  bool all_int = true, all_double = true, all_bool = true, any_value = false;
+/// Infers the narrowest type whose decoder reads every non-empty field of a
+/// column: BOOLEAN, then BIGINT, then DOUBLE, else VARCHAR.
+DataType InferColumnType(std::span<const std::vector<std::string>> rows, size_t col) {
+  std::vector<DataType> candidates = {DataType::kBool, DataType::kInt64, DataType::kDouble};
+  bool any_value = false;
   for (const auto& row : rows) {
     if (col >= row.size() || row[col].empty()) continue;
     any_value = true;
-    int64_t i;
-    double d;
-    bool b;
-    if (!ParseInt(row[col], &i)) all_int = false;
-    if (!ParseDouble(row[col], &d)) all_double = false;
-    if (!ParseBool(row[col], &b)) all_bool = false;
-    if (!all_int && !all_double && !all_bool) return DataType::kString;
+    std::erase_if(candidates,
+                  [&](DataType t) { return !ParseCsvCell(row[col], false, t).ok(); });
+    if (candidates.empty()) return DataType::kString;
   }
-  if (!any_value) return DataType::kString;  // all-NULL column defaults to text
-  if (all_bool) return DataType::kBool;
-  if (all_int) return DataType::kInt64;
-  if (all_double) return DataType::kDouble;
-  return DataType::kString;
+  return any_value ? candidates.front() : DataType::kString;  // all-NULL: text
 }
 
 /// Whether a field must be quoted on export.
@@ -197,6 +158,28 @@ void AppendCsvCell(std::string* out, const ColumnChunk& chunk, size_t offset,
   }
 }
 
+Result<Value> ParseCsvCell(std::string_view field, bool quoted, DataType type) {
+  if (field.empty()) {
+    return quoted && type == DataType::kString ? Value::String("") : Value::Null();
+  }
+  switch (type) {
+    case DataType::kBool:
+      if (EqualsIgnoreCaseAscii(field, "true")) return Value::Bool(true);
+      if (EqualsIgnoreCaseAscii(field, "false")) return Value::Bool(false);
+      break;
+    case DataType::kInt64:
+      if (std::optional<int64_t> v = ParseInt64(field)) return Value::Int(*v);
+      break;
+    case DataType::kDouble:
+      if (std::optional<double> v = ParseDouble(field)) return Value::Double(*v);
+      break;
+    case DataType::kString:
+    case DataType::kNull:
+      return Value::String(std::string(field));
+  }
+  return Status::ParseError(StrCat({"'", field, "' is not a ", DataTypeToString(type)}));
+}
+
 Result<Table*> ImportCsv(Catalog* catalog, const std::string& table_name,
                          const std::string& csv_text, const CsvOptions& options) {
   std::vector<std::vector<bool>> quoted;
@@ -227,8 +210,8 @@ Result<Table*> ImportCsv(Catalog* catalog, const std::string& table_name,
     }
   }
 
-  std::vector<std::vector<std::string>> data(rows.begin() + static_cast<long>(data_begin),
-                                             rows.end());
+  const std::span<const std::vector<std::string>> data(rows.data() + data_begin,
+                                                       rows.size() - data_begin);
   for (size_t r = 0; r < data.size(); ++r) {
     if (data[r].size() != header.size()) {
       return Status::InvalidArgument(
@@ -255,53 +238,28 @@ Result<Table*> ImportCsv(Catalog* catalog, const std::string& table_name,
   };
 
   for (size_t r = 0; r < data.size(); ++r) {
+    const size_t line = r + data_begin + 1;
     std::vector<Value> values;
     values.reserve(value_cols.size());
     for (size_t out_c = 0; out_c < value_cols.size(); ++out_c) {
-      const std::string& field = data[r][value_cols[out_c]];
-      if (field.empty()) {
-        // A quoted empty field is '' in a VARCHAR column; anything else
-        // empty is NULL.
-        const bool quoted_empty = quoted[r + data_begin][value_cols[out_c]] &&
-                                  schema.column(out_c).type == DataType::kString;
-        values.push_back(quoted_empty ? Value::String("") : Value::Null());
-        continue;
-      }
-      switch (schema.column(out_c).type) {
-        case DataType::kBool: {
-          bool b = false;
-          ParseBool(field, &b);
-          values.push_back(Value::Bool(b));
-          break;
-        }
-        case DataType::kInt64: {
-          int64_t v = 0;
-          ParseInt(field, &v);
-          values.push_back(Value::Int(v));
-          break;
-        }
-        case DataType::kDouble: {
-          double v = 0;
-          ParseDouble(field, &v);
-          values.push_back(Value::Double(v));
-          break;
-        }
-        default:
-          values.push_back(Value::String(field));
-      }
+      const size_t c = value_cols[out_c];
+      auto value = ParseCsvCell(data[r][c], quoted[r + data_begin][c],
+                                schema.column(out_c).type);
+      if (!value.ok()) return fail(value.status().WithContext(StrFormat("CSV row %zu", line)));
+      values.push_back(std::move(*value));
     }
     double confidence = options.default_confidence;
-    if (conf_col < header.size()) {
-      const std::string& field = data[r][conf_col];
-      if (!field.empty() && !ParseDouble(field, &confidence)) {
-        return fail(Status::InvalidArgument(
-            StrFormat("row %zu: confidence '%s' is not numeric", r + data_begin + 1,
-                      field.c_str())));
+    if (conf_col < header.size() && !data[r][conf_col].empty()) {
+      std::optional<double> parsed = ParseDouble(data[r][conf_col]);
+      if (!parsed) {
+        return fail(Status::InvalidArgument(StrFormat(
+            "row %zu: confidence '%s' is not numeric", line, data[r][conf_col].c_str())));
       }
+      confidence = *parsed;
     }
     auto inserted = table->Insert(std::move(values), confidence, options.default_cost);
     if (!inserted.ok()) {
-      return fail(inserted.status().WithContext(StrFormat("CSV row %zu", r + data_begin + 1)));
+      return fail(inserted.status().WithContext(StrFormat("CSV row %zu", line)));
     }
   }
   return table;
@@ -309,11 +267,8 @@ Result<Table*> ImportCsv(Catalog* catalog, const std::string& table_name,
 
 Result<Table*> ImportCsvFile(Catalog* catalog, const std::string& table_name,
                              const std::string& path, const CsvOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound(StrFormat("cannot open '%s'", path.c_str()));
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ImportCsv(catalog, table_name, buffer.str(), options);
+  PCQE_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  return ImportCsv(catalog, table_name, text, options);
 }
 
 std::string ExportCsv(const Table& table, const CsvOptions& options) {
@@ -351,11 +306,7 @@ std::string ExportCsv(const Table& table, const CsvOptions& options) {
 
 Status ExportCsvFile(const Table& table, const std::string& path,
                      const CsvOptions& options) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::InvalidArgument(StrFormat("cannot write '%s'", path.c_str()));
-  out << ExportCsv(table, options);
-  return out.good() ? Status::OK()
-                    : Status::Internal(StrFormat("write to '%s' failed", path.c_str()));
+  return WriteFile(path, ExportCsv(table, options));
 }
 
 }  // namespace pcqe

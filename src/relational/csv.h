@@ -32,13 +32,13 @@ struct CsvOptions {
 ///
 /// RFC-4180 quoting is supported: fields may be wrapped in double quotes,
 /// `""` escapes a quote, and quoted fields may contain delimiters and
-/// newlines. Column types are inferred from the data: a column whose
-/// non-empty fields all parse as integers is BIGINT, all-numeric is DOUBLE,
-/// all true/false is BOOLEAN, anything else VARCHAR (a quoted empty field
-/// `""` counts as empty here). Empty fields import as NULL, except that a
-/// quoted empty field in a VARCHAR column is the empty string. A file with
-/// no data rows yields an all-VARCHAR table. On any error no table is left
-/// behind.
+/// newlines. Column types are inferred from the data: the narrowest of
+/// BOOLEAN, BIGINT and DOUBLE whose `ParseCsvCell` reads every non-empty
+/// field of the column, else VARCHAR (a quoted empty field `""` counts as
+/// empty here). Each cell then decodes with `ParseCsvCell`, so empty fields
+/// import as NULL, except that a quoted empty field in a VARCHAR column is
+/// the empty string. A file with no data rows yields an all-VARCHAR table.
+/// On any error no table is left behind.
 [[nodiscard]] Result<Table*> ImportCsv(Catalog* catalog, const std::string& table_name,
                          const std::string& csv_text, const CsvOptions& options = {});
 
@@ -76,6 +76,16 @@ void AppendCsvField(std::string* out, std::string_view field, char delimiter = '
 /// end and no delimiter.
 void AppendCsvCell(std::string* out, const ColumnChunk& chunk, size_t offset,
                    char delimiter = ',');
+
+/// \brief Decodes one CSV field (as `ParseCsv` split it) into a value of
+/// `type`: the inverse of `AppendCsvCell`, and the one cell decoder behind
+/// both `ImportCsv` and `LoadDatabase`.
+///
+/// An empty field is NULL, except that a quoted one (`""`) in a VARCHAR
+/// column is ''. BOOLEAN reads `true`/`false` in any case; BIGINT and DOUBLE
+/// read the whole field with `ParseInt64`/`ParseDouble`. A field that does
+/// not decode is `kParseError`.
+[[nodiscard]] Result<Value> ParseCsvCell(std::string_view field, bool quoted, DataType type);
 
 }  // namespace pcqe
 

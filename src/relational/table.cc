@@ -57,12 +57,12 @@ Result<BaseTupleId> Table::Insert(std::vector<Value> values, double confidence,
 }
 
 Result<size_t> Table::RowOf(BaseTupleId id) const {
-  if (static_cast<uint32_t>(id >> 32) != table_id_) {
+  if (TupleTableId(id) != table_id_) {
     return Status::NotFound(
         StrFormat("tuple id %llu does not belong to table '%s'",
                   static_cast<unsigned long long>(id), name_.c_str()));
   }
-  size_t row = static_cast<size_t>(id & 0xFFFFFFFFULL);
+  size_t row = TupleRow(id);
   if (row >= columns_.num_rows()) {
     return Status::NotFound(StrFormat("tuple id %llu out of range for table '%s'",
                                       static_cast<unsigned long long>(id), name_.c_str()));

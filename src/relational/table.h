@@ -37,7 +37,7 @@ class CatalogGeneration {
 ///
 /// The column chunks (`column_data()`) are the one store of the rows and
 /// their annotations; `tuple` and `FindTuple` return `Tuple` views over it.
-/// Tuple ids are assigned at insertion as `(table_id << 32) | row_index`, so
+/// Tuple ids are assigned at insertion as `MakeTupleId(table_id, row_index)`, so
 /// they are unique across a catalog (the catalog hands each table a distinct
 /// `table_id`; standalone tables built in tests use table_id 0).
 class Table {
@@ -65,8 +65,7 @@ class Table {
 
   /// View of the tuple at `row` (insertion order); `row` must be in range.
   Tuple tuple(size_t row) const {
-    return Tuple(&columns_, (static_cast<BaseTupleId>(table_id_) << 32) |
-                                static_cast<BaseTupleId>(row));
+    return Tuple(&columns_, MakeTupleId(table_id_, row));
   }
 
   /// \brief Appends a row.

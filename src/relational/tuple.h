@@ -21,6 +21,19 @@ using BaseTupleId = uint64_t;
 /// Sentinel for "no tuple".
 inline constexpr BaseTupleId kInvalidBaseTupleId = ~0ULL;
 
+/// The id of row `row` of the table whose id is `table_id`:
+/// `(table_id << 32) | row`. Table ids are unique in a catalog, so tuple
+/// ids are too.
+inline constexpr BaseTupleId MakeTupleId(uint32_t table_id, uint32_t row) {
+  return (static_cast<BaseTupleId>(table_id) << 32) | row;
+}
+
+/// The table id half of a tuple id.
+inline constexpr uint32_t TupleTableId(BaseTupleId id) { return static_cast<uint32_t>(id >> 32); }
+
+/// The row half of a tuple id.
+inline constexpr uint32_t TupleRow(BaseTupleId id) { return static_cast<uint32_t>(id); }
+
 /// \brief A view of one stored row: values plus the paper's confidence
 /// annotations.
 ///
@@ -65,10 +78,10 @@ class Tuple {
  private:
   friend class Table;  // the only source of views
 
-  /// Views row `id & 0xFFFFFFFF` of `data`.
+  /// Views row `TupleRow(id)` of `data`.
   Tuple(const TableColumnData* data, BaseTupleId id) : data_(data), id_(id) {}
 
-  size_t row() const { return static_cast<size_t>(id_ & 0xFFFFFFFFULL); }
+  size_t row() const { return TupleRow(id_); }
 
   const TableColumnData* data_;
   BaseTupleId id_;

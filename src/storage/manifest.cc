@@ -7,11 +7,11 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "common/fault_injection.h"
 #include "common/string_util.h"
+#include "common/text_io.h"
 
 namespace pcqe {
 
@@ -39,11 +39,8 @@ bool ManifestExists(const std::string& dir) {
 
 Result<DurabilityManifest> LoadManifest(const std::string& dir) {
   std::string path = dir + "/" + kManifestFile;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound(StrFormat("cannot open '%s'", path.c_str()));
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::istringstream lines(buffer.str());
+  PCQE_ASSIGN_OR_RETURN(std::string text, ReadFile(path));
+  std::istringstream lines(text);
 
   std::string line;
   if (!std::getline(lines, line) || std::string(TrimAscii(line)) != "PCQE_MANIFEST 1") {
@@ -63,14 +60,12 @@ Result<DurabilityManifest> LoadManifest(const std::string& dir) {
     return Status::InvalidArgument("truncated manifest: missing truncate_lsn line");
   }
   PCQE_ASSIGN_OR_RETURN(std::string lsn_text, ManifestField(line, "truncate_lsn"));
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long lsn = std::strtoull(lsn_text.c_str(), &end, 10);
-  if (errno != 0 || end != lsn_text.c_str() + lsn_text.size()) {
+  std::optional<uint64_t> lsn = ParseUint64(lsn_text);
+  if (!lsn) {
     return Status::InvalidArgument(
         StrFormat("truncate_lsn '%s' is not an unsigned integer", lsn_text.c_str()));
   }
-  manifest.truncate_lsn = lsn;
+  manifest.truncate_lsn = *lsn;
   return manifest;
 }
 

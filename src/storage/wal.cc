@@ -5,11 +5,10 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "common/fault_injection.h"
 #include "common/string_util.h"
+#include "common/text_io.h"
 
 namespace pcqe {
 
@@ -232,11 +231,9 @@ void WalWriter::Rollback(size_t buffer_mark, uint64_t file_mark) {
 }
 
 Result<WalReadResult> ReadWal(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound(StrFormat("cannot open WAL '%s'", path.c_str()));
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string data = buffer.str();
+  Result<std::string> read = ReadFile(path);
+  if (!read.ok()) return Status::NotFound(StrFormat("cannot open WAL '%s'", path.c_str()));
+  const std::string& data = *read;
 
   if (data.size() < kMagicSize || std::memcmp(data.data(), kMagic, kMagicSize) != 0) {
     // The magic is synced before a segment is ever referenced by a

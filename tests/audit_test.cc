@@ -89,6 +89,30 @@ TEST_F(AuditTest, QueryDecisionIsReconstructible) {
   EXPECT_FALSE(record->proposal_algorithm.empty());
 }
 
+// A batch records and counts each request as a lone Submit would.
+TEST_F(AuditTest, BatchedRequestsAreAuditedAndCounted) {
+  TelemetryRegistry registry;
+  engine_->AttachTelemetry(&registry, nullptr);
+  const QueryRequest q{"SELECT id, secret FROM t", "u", "general", 1.0};
+  const uint64_t before = audit_.total_recorded();
+  std::vector<QueryOutcome> outcomes = *engine_->SubmitBatch({q, q});
+  ASSERT_EQ(outcomes.size(), 2u);
+  EXPECT_EQ(audit_.total_recorded(), before + 2);
+  EXPECT_NE(outcomes[0].audit_id, outcomes[1].audit_id);
+  for (const QueryOutcome& outcome : outcomes) {
+    ASSERT_NE(outcome.audit_id, 0u);
+    std::optional<AuditRecord> record = audit_.Get(outcome.audit_id);
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->rows_released, 2u);
+    EXPECT_EQ(record->rows_blocked, 1u);
+  }
+  // The one joint proposal rides on the first outcome and its record.
+  EXPECT_TRUE(audit_.Get(outcomes[0].audit_id)->proposal_needed);
+  EXPECT_EQ(registry.GetCounter("pcqe_engine_rows_released_total")->value(), 4u);
+  EXPECT_EQ(registry.GetCounter("pcqe_engine_rows_blocked_total")->value(), 2u);
+  engine_->AttachTelemetry(nullptr, nullptr);
+}
+
 TEST_F(AuditTest, BlockedValuesNeverAppearInExports) {
   QueryOutcome outcome =
       *engine_->Submit({"SELECT id, secret FROM t", "u", "general", 1.0});

@@ -1,9 +1,15 @@
 // Unit tests for src/common: Status/Result, deadlines and cooperative
-// cancellation, fault injection, string, math and random utils.
+// cancellation, fault injection, string, math and random utils, and the
+// shared number parsers and whole-file reader/writer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <set>
 #include <vector>
@@ -16,6 +22,7 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "common/text_io.h"
 
 namespace pcqe {
 namespace {
@@ -154,6 +161,109 @@ TEST(StringUtilTest, FormatDoubleTrimsZeros) {
   EXPECT_EQ(FormatDouble(0.1), "0.1");
   EXPECT_EQ(FormatDouble(1234.5), "1234.5");
   EXPECT_EQ(FormatDouble(0.0), "0");
+}
+
+// The whole field or nothing; leading whitespace and one sign are what
+// strtoll/strtod skip, so " 2" and "+3" (a CSV cell after ", ") still read.
+TEST(TextIoTest, IntegersReadTheWholeFieldInRange) {
+  EXPECT_EQ(ParseInt64("42"), 42);
+  EXPECT_EQ(ParseInt64(" \t+7"), 7);
+  EXPECT_EQ(ParseInt64("-0"), 0);
+  EXPECT_EQ(ParseInt64("007"), 7);
+  EXPECT_EQ(ParseInt64("9223372036854775807"), std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(ParseInt64("-9223372036854775808"), std::numeric_limits<int64_t>::min());
+  for (const char* bad : {"", " ", "+", "-", "1 ", "1x", "0x10", "1.0", "+-1", "--1",
+                          "9223372036854775808", "-9223372036854775809",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(ParseInt64(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_EQ(ParseUint64("18446744073709551615"), std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(ParseUint64(" +5"), 5u);
+  // strtoull read "-1" as 18446744073709551615.
+  for (const char* bad : {"-1", "-0", "18446744073709551616", "", "5 "}) {
+    EXPECT_FALSE(ParseUint64(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+TEST(TextIoTest, DoublesParseLikeStrtodButKeepSubnormalsAndRejectOutOfRange) {
+  EXPECT_EQ(ParseDouble("2.5"), 2.5);
+  EXPECT_EQ(ParseDouble(" +.5"), 0.5);
+  EXPECT_EQ(ParseDouble("1e3"), 1000.0);
+  EXPECT_EQ(ParseDouble("0x1.8p1"), 3.0);
+  EXPECT_EQ(ParseDouble("-0X10"), -16.0);
+  EXPECT_EQ(ParseDouble("0.1"), 0.1);  // correctly rounded
+  EXPECT_EQ(ParseDouble("1.7976931348623157e308"), std::numeric_limits<double>::max());
+  EXPECT_TRUE(std::signbit(*ParseDouble("-0")));
+  EXPECT_EQ(ParseDouble("INF"), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(ParseDouble("-infinity"), -std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(*ParseDouble("nan")));
+  EXPECT_TRUE(std::isnan(*ParseDouble("NaN(7)")));
+  // Subnormals, which strtod flags with ERANGE, parse bit for bit.
+  EXPECT_EQ(std::bit_cast<uint64_t>(*ParseDouble("4.9406564584124654e-324")), 1u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(*ParseDouble("2.2250738585072009e-308")),
+            0x000fffffffffffffu);
+  EXPECT_EQ(ParseDouble("1e-310"), 1e-310);
+  for (const char* bad : {"", ".", "e5", "1e", "1e5x", "0.x5", "1,5", "2 ", "+-1", "--1",
+                          "0x", "0x-1", "in", "1e999", "-1e999", "1e-400", "0x1p99999"}) {
+    EXPECT_FALSE(ParseDouble(bad).has_value()) << "'" << bad << "'";
+  }
+}
+
+// A seeded differential against the errno-checked strtod/strtoll/strtoull
+// calls the parsers replaced: they agree bit for bit, except that a
+// subnormal now parses and strtoull no longer wraps a negative field.
+TEST(TextIoTest, AgreesWithCheckedStrtoOnRandomFields) {
+  const std::string alphabet = "0123456789.eE+-xXpPaAfFinty() \t";
+  auto pick = [](Rng& rng, std::string_view from) {
+    return from[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(from.size()) - 1))];
+  };
+  Rng rng(23);
+  for (int i = 0; i < 200000; ++i) {
+    std::string field;
+    for (int64_t n = rng.UniformInt(0, 12); n > 0; --n) field += pick(rng, alphabet);
+    if (i % 2 == 1) {  // near the ends of the double range: subnormal, 0, inf
+      field = std::string(1, pick(rng, " +-"));
+      for (int64_t n = rng.UniformInt(1, 20); n > 0; --n) field += pick(rng, "0123456789");
+      field += (i % 4 == 1 ? "e-" : "e") + std::to_string(rng.UniformInt(290, 345));
+    }
+    SCOPED_TRACE("'" + field + "'");
+    const char* begin = field.c_str();
+    char* end = nullptr;
+    errno = 0;
+    const double d = std::strtod(begin, &end);
+    const bool whole = !field.empty() && end == begin + field.size();
+    const std::optional<double> parsed = ParseDouble(field);
+    if (whole && errno == 0) {
+      ASSERT_TRUE(parsed.has_value());
+      if (!std::isnan(d)) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(*parsed), std::bit_cast<uint64_t>(d));
+      }
+    } else {
+      ASSERT_EQ(parsed.has_value(), whole && std::fpclassify(d) == FP_SUBNORMAL);
+    }
+    errno = 0;
+    const long long ll = std::strtoll(begin, &end, 10);
+    const bool int_ok = !field.empty() && end == begin + field.size() && errno == 0;
+    ASSERT_EQ(ParseInt64(field), int_ok ? std::optional<int64_t>(ll) : std::nullopt);
+    errno = 0;
+    const unsigned long long ull = std::strtoull(begin, &end, 10);
+    const bool uint_ok = !field.empty() && end == begin + field.size() && errno == 0 &&
+                         field.find('-') == std::string::npos;
+    ASSERT_EQ(ParseUint64(field), uint_ok ? std::optional<uint64_t>(ull) : std::nullopt);
+  }
+}
+
+TEST(TextIoTest, FileRoundTripAndErrors) {
+  const std::string dir = ::testing::TempDir() + "/text_io_test";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string bytes("a\0b\r\n\xff", 6);
+  ASSERT_TRUE(WriteFile(dir + "/f", bytes).ok());
+  EXPECT_EQ(*ReadFile(dir + "/f"), bytes);
+  ASSERT_TRUE(WriteFile(dir + "/f", "").ok());  // replaces, never appends
+  EXPECT_EQ(*ReadFile(dir + "/f"), "");
+  EXPECT_TRUE(ReadFile(dir + "/missing").status().IsNotFound());
+  EXPECT_TRUE(WriteFile(dir + "/no/such/dir", "x").IsInvalidArgument());
 }
 
 TEST(MathUtilTest, ApproxComparisons) {

@@ -71,6 +71,12 @@ TEST(ImportCsvTest, MixedNumbersWidenToDouble) {
   Table* t = *ImportCsv(&catalog, "t", "x\n1\n2.5\n");
   EXPECT_EQ(t->schema().column(0).type, DataType::kDouble);
   EXPECT_EQ(t->tuple(0).value(0), Value::Double(1.0));
+  // A leading space or `+` still reads as a number, as strtod reads it.
+  Table* signed_cells = *ImportCsv(&catalog, "s", "x,y\n1, 2.5\n+3,-4\n");
+  EXPECT_EQ(signed_cells->schema().column(0).type, DataType::kInt64);
+  EXPECT_EQ(signed_cells->schema().column(1).type, DataType::kDouble);
+  EXPECT_EQ(signed_cells->tuple(1).value(0), Value::Int(3));
+  EXPECT_EQ(signed_cells->tuple(0).value(1), Value::Double(2.5));
 }
 
 TEST(ImportCsvTest, EmptyFieldsBecomeNull) {
@@ -225,20 +231,34 @@ TEST(ExportCsvTest, RoundTripIsExact) {
       t->Insert({Value::Null(), Value::Double(1e-300), Value::Double(-0.0)}, 0.1).ok());
   ASSERT_TRUE(
       t->Insert({Value::String("big"), Value::Double(2.5), Value::Double(1e16)}, 0.5).ok());
+  // Subnormals, which strtod flags with ERANGE: the smallest one, the
+  // largest one, and a subnormal confidence.
+  ASSERT_TRUE(t->Insert({Value::String("min"), Value::Double(4.9406564584124654e-324),
+                         Value::Double(7.0)},
+                        1e-310)
+                  .ok());
+  ASSERT_TRUE(t->Insert({Value::String("max"), Value::Double(2.2250738585072009e-308),
+                         Value::Double(-8.0)},
+                        0.25)
+                  .ok());
   CsvOptions options;
   options.confidence_column = "conf";
   const std::string exported = ExportCsv(*t, options);
   EXPECT_EQ(exported,
             "s,x,w,conf\n\"\",-0.12345678901234566,3.0,0.30000000000000004\n"
             ",1e-300,-0.0,0.10000000000000001\n"
-            "big,2.5,10000000000000000.0,0.5\n");
+            "big,2.5,10000000000000000.0,0.5\n"
+            "min,4.9406564584124654e-324,7.0,9.9999999999999694e-311\n"
+            "max,2.2250738585072009e-308,-8.0,0.25\n");
   Catalog again;
-  Table* t2 = *ImportCsv(&again, "t", exported, options);
-  ASSERT_EQ(t2->num_tuples(), 3u);
+  auto imported = ImportCsv(&again, "t", exported, options);
+  ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+  Table* t2 = *imported;
+  ASSERT_EQ(t2->num_tuples(), 5u);
   for (size_t c = 0; c < 3; ++c) {
     EXPECT_EQ(t2->schema().column(c).type, t->schema().column(c).type) << "column " << c;
   }
-  for (size_t r = 0; r < 3; ++r) {
+  for (size_t r = 0; r < 5; ++r) {
     for (size_t c = 0; c < 3; ++c) {
       SCOPED_TRACE(::testing::Message() << "row " << r << " column " << c);
       const Value want = t->tuple(r).value(c);
@@ -250,7 +270,9 @@ TEST(ExportCsvTest, RoundTripIsExact) {
                   std::bit_cast<uint64_t>(*want.AsDouble()));
       }
     }
-    EXPECT_EQ(t2->tuple(r).confidence(), t->tuple(r).confidence()) << r;
+    EXPECT_EQ(std::bit_cast<uint64_t>(t2->tuple(r).confidence()),
+              std::bit_cast<uint64_t>(t->tuple(r).confidence()))
+        << r;
   }
   EXPECT_EQ(ExportCsv(*t2, options), exported);
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -183,6 +184,15 @@ TEST(DatabaseIoTest, RoundTripsTablesRowsAndAnnotations) {
   ASSERT_TRUE(
       t->Insert({Value::Null(), Value::Null(), Value::Null(), Value::Null()}, 0.5)
           .ok());
+  // Subnormal cells and confidences, which strtod flags with ERANGE.
+  ASSERT_TRUE(t->Insert({Value::String("tiny"), Value::Int(0),
+                         Value::Double(4.9406564584124654e-324), Value::Bool(false)},
+                        1e-310)
+                  .ok());
+  ASSERT_TRUE(t->Insert({Value::String("below normal"), Value::Int(1),
+                         Value::Double(2.2250738585072009e-308), Value::Bool(true)},
+                        0.5)
+                  .ok());
   ASSERT_TRUE(catalog.CreateTable("empty", Schema({{"a", DataType::kInt64, ""}})).ok());
 
   std::string dir = FreshDir("dbio_roundtrip");
@@ -193,7 +203,7 @@ TEST(DatabaseIoTest, RoundTripsTablesRowsAndAnnotations) {
   EXPECT_EQ(loaded.TableNames(), catalog.TableNames());
 
   const Table* lt = *loaded.GetTable("mixed");
-  ASSERT_EQ(lt->num_tuples(), 2u);
+  ASSERT_EQ(lt->num_tuples(), 4u);
   EXPECT_EQ(lt->tuple(0).value(0), Value::String("quote\" and, comma"));
   EXPECT_EQ(lt->tuple(0).value(1), Value::Int(-7));
   EXPECT_DOUBLE_EQ(*lt->tuple(0).value(2).AsDouble(), 0.1234567890123456);
@@ -204,6 +214,16 @@ TEST(DatabaseIoTest, RoundTripsTablesRowsAndAnnotations) {
   EXPECT_NEAR(lt->tuple(0).cost_function()->Level(0.5),
               t->tuple(0).cost_function()->Level(0.5), 1e-12);
   EXPECT_TRUE(lt->tuple(1).value(0).is_null());
+  EXPECT_EQ(lt->schema().column(2).type, DataType::kDouble);
+  for (size_t r : {2, 3}) {
+    ASSERT_EQ(lt->tuple(r).value(2).type(), DataType::kDouble) << r;
+    EXPECT_EQ(std::bit_cast<uint64_t>(*lt->tuple(r).value(2).AsDouble()),
+              std::bit_cast<uint64_t>(*t->tuple(r).value(2).AsDouble()))
+        << r;
+    EXPECT_EQ(std::bit_cast<uint64_t>(lt->tuple(r).confidence()),
+              std::bit_cast<uint64_t>(t->tuple(r).confidence()))
+        << r;
+  }
 
   const Table* le = *loaded.GetTable("empty");
   EXPECT_EQ(le->num_tuples(), 0u);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "engine/pcqe_engine.h"
 
 namespace pcqe {
@@ -132,9 +134,13 @@ TEST_F(PcqeEngineTest, BadSqlPropagatesParseError) {
 }
 
 TEST_F(PcqeEngineTest, BadFractionRejected) {
-  EXPECT_TRUE(engine_->Submit({kCandidateQuery, "sam", "analysis", 1.5})
-                  .status()
-                  .IsInvalidArgument());
+  // NaN too: `f < 0 || f > 1` lets it through, and `size_t(ceil(NaN * n))`
+  // is undefined.
+  for (double fraction : {1.5, -0.1, std::nan("")}) {
+    Status s = engine_->Submit({kCandidateQuery, "sam", "analysis", fraction}).status();
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.message().find("required_fraction"), std::string::npos) << s.ToString();
+  }
 }
 
 TEST_F(PcqeEngineTest, ExplicitSolverSelection) {

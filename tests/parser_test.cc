@@ -131,6 +131,12 @@ TEST(ParserTest, ErrorsAreParseErrors) {
   EXPECT_TRUE(ParseSelect("SELECT * FROM t WHERE x = 1 garbage").status().IsParseError());
   EXPECT_TRUE(ParseSelect("SELECT a b c FROM t").status().IsParseError());
   EXPECT_TRUE(ParseSelect("").status().IsParseError());
+  // Out-of-range numbers are errors, not INT64_MAX, inf, 0 or every row.
+  EXPECT_TRUE(ParseSelect("SELECT 99999999999999999999").status().IsParseError());
+  EXPECT_TRUE(ParseSelect("SELECT 1e999").status().IsParseError());
+  EXPECT_TRUE(ParseSelect("SELECT 1e-400").status().IsParseError());
+  EXPECT_TRUE(
+      ParseSelect("SELECT a FROM t LIMIT 99999999999999999999").status().IsParseError());
 }
 
 TEST(ParserTest, ErrorMentionsOffset) {
@@ -161,6 +167,12 @@ TEST(ParserTest, NegatedNumericLiteralsFold) {
   auto widest = *ParseExpression("-9223372036854775807");
   ASSERT_EQ(widest->kind(), ExprKind::kLiteral);
   EXPECT_EQ(*widest->literal().AsInt(), -9223372036854775807LL);
+  // The literal after `-` is 9223372036854775808, out of BIGINT range: an
+  // error rather than -9223372036854775807.
+  EXPECT_TRUE(ParseExpression("-9223372036854775808").status().IsParseError());
+  auto subnormal = *ParseExpression("-4.9406564584124654e-324");
+  ASSERT_EQ(subnormal->kind(), ExprKind::kLiteral);
+  EXPECT_EQ(*subnormal->literal().AsDouble(), -4.9406564584124654e-324);
   auto real = *ParseExpression("-2.5");
   ASSERT_EQ(real->kind(), ExprKind::kLiteral);
   EXPECT_EQ(real->literal().type(), DataType::kDouble);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
+#include "common/string_util.h"
 #include "policy/confidence_policy.h"
 #include "policy/policy_io.h"
 #include "policy/rbac.h"
@@ -81,6 +85,8 @@ TEST(PolicyTest, AddValidates) {
   EXPECT_TRUE(store.AddPolicy(g, {"Manager", "", 0.05}).IsInvalidArgument());
   EXPECT_TRUE(store.AddPolicy(g, {"Manager", "x", -0.1}).IsInvalidArgument());
   EXPECT_TRUE(store.AddPolicy(g, {"Manager", "x", 1.1}).IsInvalidArgument());
+  // A NaN β would match, never bind and release everything.
+  EXPECT_TRUE(store.AddPolicy(g, {"Manager", "x", std::nan("")}).IsInvalidArgument());
   EXPECT_TRUE(store.AddPolicy(g, {"Manager", "x", 0.3}).ok());
   EXPECT_TRUE(store.AddPolicy(g, {"Manager", "x", 0.4}).IsAlreadyExists());
   EXPECT_EQ(store.policies().size(), 1u);
@@ -274,6 +280,19 @@ TEST(PolicyIoTest, ParseErrorsCarryLineNumbers) {
   RoleGraph g3;
   PolicyStore store3;
   EXPECT_TRUE(ParseAccessConfig("role A\npolicy A p high\n", &g3, &store3).IsParseError());
+  // A β must be a whole number in [0, 1]: 1e-400 underflows (it loaded as a
+  // β = 0 policy), and NaN would match, never bind and release everything.
+  for (const char* beta : {"0.x5", "1e-400", "nan"}) {
+    SCOPED_TRACE(beta);
+    RoleGraph roles;
+    PolicyStore policies;
+    Status parsed =
+        ParseAccessConfig(StrCat({"role A\npolicy A p ", beta, "\n"}), &roles, &policies);
+    EXPECT_EQ(parsed.code(), beta == std::string("nan") ? StatusCode::kInvalidArgument
+                                                        : StatusCode::kParseError)
+        << parsed.ToString();
+    EXPECT_TRUE(policies.policies().empty());
+  }
   RoleGraph g4;
   PolicyStore store4;
   EXPECT_TRUE(

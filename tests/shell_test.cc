@@ -123,6 +123,30 @@ TEST_F(ShellTest, UsageMessagesForBadArity) {
   EXPECT_NE(Feed(".fraction").find("usage:"), std::string::npos);
 }
 
+// A malformed number is a usage error that changes nothing. Reading its
+// longest numeric prefix instead would make `0.x5` a beta = 0 policy, which
+// releases every row.
+TEST_F(ShellTest, BadNumbersPrintUsageAndChangeNothing) {
+  Feed(".role add R");
+  EXPECT_NE(Feed(".policy add R p 0.x5").find("usage:"), std::string::npos);
+  EXPECT_NE(Feed(".policy add R p nan").find("invalid_argument"), std::string::npos);
+  EXPECT_TRUE(shell_.engine()->policies()->policies().empty());
+
+  Feed(".fraction 0.5");
+  for (const char* bad : {".fraction abc", ".fraction 2", ".fraction nan"}) {
+    EXPECT_NE(Feed(bad).find("usage:"), std::string::npos) << bad;
+  }
+  EXPECT_EQ(shell_.fraction(), 0.5);
+
+  Feed(".timeout 250");
+  EXPECT_NE(Feed(".timeout 5s").find("usage:"), std::string::npos);
+  EXPECT_NE(Feed(".timeout 99999999999999999999").find("usage:"), std::string::npos);
+  EXPECT_EQ(shell_.timeout_ms(), 250);
+
+  EXPECT_NE(Feed(".serve 2x").find("workers must be in 1..64"), std::string::npos);
+  EXPECT_EQ(shell_.service(), nullptr);
+}
+
 TEST_F(ShellTest, SaveAndOpenDatabase) {
   std::string csv_path = ::testing::TempDir() + "/shell_db.csv";
   std::string db_dir = ::testing::TempDir() + "/shell_dbdir";

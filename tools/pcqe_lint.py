@@ -81,6 +81,13 @@ Rules (ids in brackets; suppress a line with `// pcqe-lint: allow(<rule>)`):
       src/query/execution_mode.h). Everything else evaluates through
       `PcqeEngine::Evaluate` or `RunQuery`'s default; tests and benches reach
       the oracle with `RunQuery(..., ExecutionMode::kRow)`.
+  [number-parse]          In src/ and tools/, C library number parsers
+      (`strtod`, `strtof`, `strtol`, `strtoll`, `strtoul`, `strtoull`, ...,
+      `std::stoi`/`stol`/`stod`/..., `atoi`/`atol`/`atof`) may be called only
+      under src/common/. Everything else decodes through common/text_io.h
+      (`ParseInt64`, `ParseUint64`, `ParseDouble`), the one parser that reads
+      the whole field, rejects out-of-range values and keeps subnormals, so a
+      number means the same thing at every input boundary.
   [deadline]              No raw `steady_clock::now()` deadline comparisons
       in src/strategy/ or src/service/. Budget checks must go through the
       `Deadline` helper (common/deadline.h: `Expired()`, `RemainingSeconds()`,
@@ -143,6 +150,11 @@ REFERENCE_EXECUTOR_ALLOWED_RE = re.compile(
     r"|execution_mode\.h)$")
 REFERENCE_EXECUTOR_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"query/executor\.h"')
 REFERENCE_EXECUTOR_MODE_RE = re.compile(r"\bExecutionMode::kRow\b")
+
+# C library number parsers, allowed only in src/common/ (the shared decoder).
+NUMBER_PARSE_RE = re.compile(
+    r"(?<![\w.>:])(?:std::|::)?(?:strto(?:d|f|ld|l|ll|ul|ull|imax|umax)|ato(?:i|l|ll|f))\s*\("
+    r"|\bstd::sto(?:i|l|ll|ul|ull|f|d|ld)\s*\(")
 
 # A relational comparator that is not the arrow of `->` nor a shift/template
 # bracket pair.
@@ -374,6 +386,15 @@ def lint_file(relpath, lines, status_fns):
                 "the row interpreter is the differential oracle only; serve "
                 "through PcqeEngine::Evaluate (or RunQuery's default) and "
                 "leave query/executor.h and ExecutionMode::kRow to src/query/"))
+
+        # -- number-parse --------------------------------------------------
+        if (in_src or in_tools) and not relpath.startswith("src/common/") and \
+                NUMBER_PARSE_RE.search(code) and not _allowed(raw, "number-parse"):
+            out.append(Violation(
+                relpath, i, "number-parse",
+                "hand-rolled number parse; decode through ParseInt64/ParseUint64/"
+                "ParseDouble (common/text_io.h) so every boundary reads a field "
+                "the same way"))
 
         # -- deadline ------------------------------------------------------
         if relpath.startswith(("src/strategy/", "src/service/")) and \

@@ -1,10 +1,11 @@
 #include "tools/shell.h"
 
-#include <cstdlib>
+#include <algorithm>
 #include <sstream>
 
 #include "common/annotations.h"
 #include "common/string_util.h"
+#include "common/text_io.h"
 #include "lineage/sensitivity.h"
 #include "policy/policy_io.h"
 #include "query/parser.h"
@@ -81,18 +82,19 @@ void Shell::RunCommand(const std::string& line) {
       out() << "purpose = " << purpose_ << "\n";
     }
   } else if (cmd == ".fraction") {
-    if (args.size() != 1) {
+    std::optional<double> fraction = args.size() == 1 ? ParseDouble(args[0]) : std::nullopt;
+    if (!fraction || !(0.0 <= *fraction && *fraction <= 1.0)) {
       out() << "usage: .fraction <0..1>\n";
     } else {
-      fraction_ = std::strtod(args[0].c_str(), nullptr);
+      fraction_ = *fraction;
       out() << "required fraction = " << FormatDouble(fraction_) << "\n";
     }
   } else if (cmd == ".timeout") {
-    if (args.size() != 1) {
+    std::optional<int64_t> timeout = args.size() == 1 ? ParseInt64(args[0]) : std::nullopt;
+    if (!timeout) {
       out() << "usage: .timeout <ms>  (0 = unlimited)\n";
     } else {
-      timeout_ms_ = std::strtoll(args[0].c_str(), nullptr, 10);
-      if (timeout_ms_ < 0) timeout_ms_ = 0;
+      timeout_ms_ = std::max<int64_t>(*timeout, 0);
       if (timeout_ms_ == 0) {
         out() << "query timeout off\n";
       } else {
@@ -188,7 +190,7 @@ void Shell::CmdHelp() {
            "                                expired solves return a partial proposal\n"
            "  .pushdown [on|off]            show/set beta pushdown (on by default;\n"
            "                                prunes sub-beta tuples below joins via\n"
-           "                                per-table confidence indexes; released\n"
+           "                                per-chunk confidence bounds; released\n"
            "                                rows are provably identical either way)\n"
            "  .policy add <role> <purpose> <beta>\n"
            "  .policy list\n"
@@ -306,8 +308,9 @@ void Shell::CmdPolicy(const std::vector<std::string>& args) {
     }
     return;
   }
-  if (args.size() == 4 && args[0] == "add") {
-    ConfidencePolicy policy{args[1], args[2], std::strtod(args[3].c_str(), nullptr)};
+  std::optional<double> beta = args.size() == 4 ? ParseDouble(args[3]) : std::nullopt;
+  if (beta && args[0] == "add") {
+    ConfidencePolicy policy{args[1], args[2], *beta};
     Status s = engine_->policies()->AddPolicy(*engine_->roles(), policy);
     out() << (s.ok() ? "policy " + policy.ToString() + " added" : s.ToString()) << "\n";
     return;
@@ -320,11 +323,12 @@ void Shell::CmdWhy(const std::vector<std::string>& args) {
     out() << "no query result yet (run a SELECT first)\n";
     return;
   }
-  if (args.size() != 1) {
+  std::optional<uint64_t> parsed = args.size() == 1 ? ParseUint64(args[0]) : std::nullopt;
+  if (!parsed) {
     out() << "usage: .why <row number, 1-based>\n";
     return;
   }
-  size_t row = static_cast<size_t>(std::strtoull(args[0].c_str(), nullptr, 10));
+  const size_t row = *parsed;
   if (row == 0 || row > last_result_->rows.size()) {
     out() << "row " << args[0] << " out of range (result has "
           << last_result_->rows.size() << " rows)\n";
@@ -368,11 +372,12 @@ void Shell::CmdServe(const std::vector<std::string>& args) {
   options.tracer = &tracer_;
   options.audit = &audit_;
   if (!args.empty()) {
-    options.num_workers = static_cast<size_t>(std::strtoull(args[0].c_str(), nullptr, 10));
-    if (options.num_workers == 0 || options.num_workers > 64) {
+    std::optional<uint64_t> workers = ParseUint64(args[0]);
+    if (!workers || *workers == 0 || *workers > 64) {
       out() << "workers must be in 1..64\n";
       return;
     }
+    options.num_workers = *workers;
   }
   service_ = std::make_unique<QueryService>(engine_.get(), options);
   out() << "serving with " << service_->num_workers() << " worker(s), queue capacity "
@@ -460,8 +465,8 @@ void Shell::CmdTrace(const std::vector<std::string>& args) {
     }
     return;
   }
-  uint64_t id = std::strtoull(args[0].c_str(), nullptr, 10);
-  std::optional<Trace> trace = tracer_.Get(id);
+  std::optional<uint64_t> id = ParseUint64(args[0]);
+  std::optional<Trace> trace = id ? tracer_.Get(*id) : std::nullopt;
   if (!trace.has_value()) {
     out() << "no trace with id " << args[0] << " (ring keeps the last "
           << tracer_.Snapshot().size() << ")\n";
@@ -546,8 +551,8 @@ void Shell::CmdAudit(const std::vector<std::string>& args) {
     return;
   }
   if (args.size() == 1) {
-    uint64_t id = std::strtoull(args[0].c_str(), nullptr, 10);
-    std::optional<AuditRecord> record = audit_.Get(id);
+    std::optional<uint64_t> id = ParseUint64(args[0]);
+    std::optional<AuditRecord> record = id ? audit_.Get(*id) : std::nullopt;
     if (!record.has_value()) {
       out() << "no audit record with id " << args[0] << " (ring keeps the last "
             << audit_.Snapshot().size() << ")\n";

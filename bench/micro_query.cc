@@ -170,11 +170,18 @@ BENCHMARK(BM_SortLimit)
 // full pipeline (execute + lineage + confidence) inside the timed region.
 
 double TimeQuery(const Catalog& catalog, const std::string& sql, ExecutionMode mode,
-                 bool materialize_values, size_t* out_rows) {
+                 bool box, size_t* out_rows) {
   double best = 1e99;
   for (int rep = 0; rep < 2; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
-    Result<QueryResult> result = RunQuery(catalog, sql, nullptr, mode, materialize_values);
+    Result<QueryResult> result = RunQuery(catalog, sql, nullptr, mode);
+    if (box && result.ok()) {
+      // Every formula interned and every row's values boxed.
+      result->MaterializeLineage();
+      for (size_t i = 0; i < result->rows.size(); ++i) {
+        benchmark::DoNotOptimize(result->ValuesOfRow(i));
+      }
+    }
     auto t1 = std::chrono::steady_clock::now();
     if (!result.ok()) {
       std::fprintf(stderr, "sweep query failed: %s\n", result.status().ToString().c_str());
@@ -214,19 +221,19 @@ void RunSweep() {
   // "vec" is the engine's serving configuration (PcqeEngine::Evaluate):
   // confidences computed nodelessly from the factorized result; value boxing
   // and lineage interning deferred until something needs them (display, the
-  // shortfall solver). "vec_boxed" materializes everything eagerly for
-  // RunQuery API parity — that per-row boxing floor is identical work in
-  // both engines, so the architectural difference shows in row-vs-vec.
+  // shortfall solver). "vec_boxed" then interns every formula and boxes
+  // every row, the row engine's output — that per-row boxing floor is
+  // identical work in both engines, so the architectural difference shows
+  // in row-vs-vec.
   bench::TablePrinter table(
       {"op", "rows", "row_engine", "vectorized", "vec_boxed", "speedup"});
   for (const Op& op : ops) {
     size_t out_rows = 0;
-    double row_s =
-        TimeQuery(*catalog, op.sql, ExecutionMode::kRow, /*materialize=*/true, &out_rows);
-    double vec_s = TimeQuery(*catalog, op.sql, ExecutionMode::kVectorized,
-                             /*materialize=*/false, &out_rows);
-    double boxed_s = TimeQuery(*catalog, op.sql, ExecutionMode::kVectorized,
-                               /*materialize=*/true, &out_rows);
+    double row_s = TimeQuery(*catalog, op.sql, ExecutionMode::kRow, /*box=*/false, &out_rows);
+    double vec_s =
+        TimeQuery(*catalog, op.sql, ExecutionMode::kVectorized, /*box=*/false, &out_rows);
+    double boxed_s =
+        TimeQuery(*catalog, op.sql, ExecutionMode::kVectorized, /*box=*/true, &out_rows);
     double speedup = row_s / vec_s;
     for (auto [mode, seconds] : {std::pair<const char*, double>{"row", row_s},
                                  std::pair<const char*, double>{"vec", vec_s},
@@ -290,8 +297,7 @@ void RunPushdownSweep() {
     for (int rep = 0; rep < 2; ++rep) {
       auto t0 = std::chrono::steady_clock::now();
       Result<QueryResult> result =
-          RunQuery(*catalog, sql, nullptr, ExecutionMode::kVectorized,
-                   /*materialize_values=*/false, nullptr, pushdown_beta);
+          RunQuery(*catalog, sql, nullptr, ExecutionMode::kVectorized, nullptr, pushdown_beta);
       auto t1 = std::chrono::steady_clock::now();
       if (!result.ok()) {
         std::fprintf(stderr, "pushdown sweep query failed: %s\n",
@@ -386,7 +392,7 @@ void RunProfileOverheadLeg() {
       auto t0 = std::chrono::steady_clock::now();
       Result<QueryResult> result =
           RunQuery(*catalog, sql, nullptr, ExecutionMode::kVectorized,
-                   /*materialize_values=*/false, profiled ? &profile : nullptr);
+                   profiled ? &profile : nullptr);
       auto t1 = std::chrono::steady_clock::now();
       if (!result.ok()) {
         std::fprintf(stderr, "overhead query failed: %s\n",

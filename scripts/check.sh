@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local check: lint, configure, build, test, smoke-run examples and benches.
+# Full local check: lint, configure, build (the pcqe_bench harness too), test,
+# smoke-run examples and benches.
 # Usage: scripts/check.sh [--full]   (--full runs benches at paper scale)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,6 +21,17 @@ fi
 
 cmake -B build "${GENERATOR_ARGS[@]}"
 cmake --build build -j"$(nproc)"
+
+# Compile, never run, the end-to-end benchmark harness (pcqe_bench/, its own
+# Release project over src/) in its own tree, so that an API change that
+# breaks it fails here instead of in a benchmark run.
+BENCH_GENERATOR_ARGS=()
+if [[ ! -f build/pcqe_bench/CMakeCache.txt ]] && command -v ninja > /dev/null 2>&1; then
+  BENCH_GENERATOR_ARGS=(-G Ninja)
+fi
+cmake -S pcqe_bench -B build/pcqe_bench "${BENCH_GENERATOR_ARGS[@]}"
+cmake --build build/pcqe_bench -j"$(nproc)"
+
 ctest --test-dir build -j"$(nproc)" --output-on-failure
 
 for example in build/examples/*; do

@@ -14,6 +14,7 @@
 #ifndef PCQE_COMMON_DEADLINE_H_
 #define PCQE_COMMON_DEADLINE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -36,14 +37,27 @@ class Deadline {
   Deadline() = default;
 
   static Deadline Infinite() { return Deadline(); }
-  static Deadline At(Clock::time_point at) { return Deadline(at); }
   static Deadline AfterMillis(int64_t ms) {
-    return Deadline(Clock::now() + std::chrono::milliseconds(ms));
+    return After(Clock::now(), std::chrono::milliseconds(ms));
   }
   static Deadline AfterSeconds(double seconds) {
-    return Deadline(Clock::now() +
-                    std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(seconds)));
+    return After(Clock::now(), std::chrono::duration<double>(seconds));
+  }
+
+  /// `budget` after `start`. A budget the steady clock cannot represent past
+  /// `start` (centuries, infinity, NaN) means no deadline; a negative one is
+  /// already past.
+  template <typename Rep, typename Period>
+  static Deadline After(Clock::time_point start, std::chrono::duration<Rep, Period> budget) {
+    const double ticks = std::chrono::duration<double, Clock::period>(budget).count();
+    const Clock::rep room = (Clock::time_point::max() - start).count();
+    // `room` rounds to at most 2^63 as a double, so any `ticks` below it
+    // converts to the clock's integer type; the integer test then keeps the
+    // sum in range. The clamp keeps a negative budget's instant above min.
+    if (!(ticks < static_cast<double>(room))) return Infinite();
+    const Clock::duration whole(
+        static_cast<Clock::rep>(std::max(ticks, -static_cast<double>(room))));
+    return whole.count() >= room ? Infinite() : Deadline(start + whole);
   }
 
   /// The earlier of two deadlines (infinite is later than everything).

@@ -68,20 +68,7 @@ PcqeEngine::PcqeEngine(Catalog* catalog, RoleGraph roles, PolicyStore policies)
 }
 
 std::string QueryOutcome::ReleasedTable(size_t max_rows) const {
-  QueryResult view;
-  view.schema = intermediate.schema;
-  view.arena = intermediate.arena;
-  view.rows.reserve(released.size());
-  for (size_t i : released) {
-    QueryResult::Row row = intermediate.rows[i];
-    // Deferred vectorized results box values on demand; only the rows the
-    // table will actually show pay for boxing.
-    if (row.values.empty() && view.rows.size() < max_rows) {
-      row.values = intermediate.ValuesOfRow(i);
-    }
-    view.rows.push_back(std::move(row));
-  }
-  return view.ToTable(max_rows);
+  return intermediate.ToTable(released, max_rows);
 }
 
 void PcqeEngine::AttachTelemetry(TelemetryRegistry* registry, Tracer* tracer) {
@@ -188,12 +175,10 @@ Result<QueryResult> PcqeEngine::Evaluate(const std::string& sql,
   PCQE_INJECT_FAULT(fault_sites::kEngineEvaluate);
   if (metrics_.queries != nullptr) metrics_.queries->Increment();
   // The policy filter and the solvers consume confidences and lineage only;
-  // value boxing is deferred until something displays rows (ReleasedTable /
-  // ToTable / MaterializeValues) — the factorized engine's late
-  // materialization.
-  Result<QueryResult> result = RunQuery(*catalog_, sql, trace, ExecutionMode::kVectorized,
-                                        /*materialize_values=*/false, profile,
-                                        pushdown_beta);
+  // values box only when something displays rows (ReleasedTable / ToTable) —
+  // the factorized engine's late materialization.
+  Result<QueryResult> result =
+      RunQuery(*catalog_, sql, trace, ExecutionMode::kVectorized, profile, pushdown_beta);
   if (result.ok() && profile != nullptr) ObserveOperatorSeconds(*profile);
   if (result.ok() && metrics_.vec_chunks != nullptr) {
     const VecExecStats& s = result->vec_stats;
@@ -281,7 +266,7 @@ Result<QueryOutcome> PcqeEngine::Complete(const QueryRequest& request,
     // The solvers pool per-row formulas; a deferred result interns them
     // only now — compliant queries (no shortfall) never build a single
     // per-row lineage node.
-    if (outcome.intermediate.lineage_deferred()) {
+    if (outcome.intermediate.defer_lineage) {
       ScopedSpan box_span(trace, "lineage-box");
       outcome.intermediate.MaterializeLineage();
     }
@@ -311,7 +296,7 @@ std::string BlockedRowLineageSummary(
         it != table_names.end() ? it->second : StrFormat("t%u", TupleTableId(id));
     parts.push_back(StrFormat("%s#%u", table.c_str(), TupleRow(id)));
   };
-  if (!qr.lineage_deferred() && qr.rows[row].lineage != kNullLineage) {
+  if (!qr.defer_lineage && qr.rows[row].lineage != kNullLineage) {
     for (LineageVarId id : qr.arena->Variables(qr.rows[row].lineage)) add(id);
   } else if (qr.columnar != nullptr) {
     // Deferred factorized result: the factors name the base tuples directly
@@ -411,9 +396,7 @@ Result<std::vector<QueryOutcome>> PcqeEngine::SubmitBatch(
   size_t first_short = requests.size();
   for (size_t q = 0; q < requests.size(); ++q) {
     if (needed[q] == 0) continue;
-    if (outcomes[q].intermediate.lineage_deferred()) {
-      outcomes[q].intermediate.MaterializeLineage();
-    }
+    outcomes[q].intermediate.MaterializeLineage();
     if (first_short == requests.size()) first_short = q;
     if (beta < 0.0) {
       beta = outcomes[q].policy.threshold;

@@ -4,6 +4,8 @@
 #ifndef PCQE_LINEAGE_EVALUATE_H_
 #define PCQE_LINEAGE_EVALUATE_H_
 
+#include <cmath>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -49,36 +51,51 @@ class ConfidenceMap {
 /// For formulas with shared variables it is an approximation; use
 /// `EvaluateExact` to quantify the gap.
 ///
-/// `probs` is any callable `double(LineageVarId)`.
+/// `probs` is any callable `double(LineageVarId)`. A non-null `memo`, indexed
+/// by node and NaN where not yet known, keeps each node's probability, so
+/// formulas that share subformulas (the rows of one result) score each node
+/// once. It grows to `arena.size()`; keep one memo per arena and `probs`.
 template <typename ProbFn>
-double EvaluateIndependent(const LineageArena& arena, LineageRef ref, const ProbFn& probs) {
+double EvaluateIndependent(const LineageArena& arena, LineageRef ref, const ProbFn& probs,
+                           std::vector<double>* memo = nullptr) {
+  if (memo != nullptr) {
+    if (memo->size() < arena.size()) {
+      memo->resize(arena.size(), std::numeric_limits<double>::quiet_NaN());
+    }
+    if (!std::isnan((*memo)[ref])) return (*memo)[ref];
+  }
+  double p = 0.0;
   switch (arena.op(ref)) {
     case LineageOp::kFalse:
-      return 0.0;
+      break;
     case LineageOp::kTrue:
-      return 1.0;
+      p = 1.0;
+      break;
     case LineageOp::kVar:
-      return probs(arena.var(ref));
+      p = probs(arena.var(ref));
+      break;
     case LineageOp::kNot:
-      return 1.0 - EvaluateIndependent(arena, arena.children(ref)[0], probs);
-    case LineageOp::kAnd: {
-      double p = 1.0;
+      p = 1.0 - EvaluateIndependent(arena, arena.children(ref)[0], probs, memo);
+      break;
+    case LineageOp::kAnd:
+      p = 1.0;
       for (LineageRef c : arena.children(ref)) {
-        p *= EvaluateIndependent(arena, c, probs);
+        p *= EvaluateIndependent(arena, c, probs, memo);
         if (p == 0.0) break;
       }
-      return p;
-    }
+      break;
     case LineageOp::kOr: {
       double q = 1.0;  // probability all children are false
       for (LineageRef c : arena.children(ref)) {
-        q *= 1.0 - EvaluateIndependent(arena, c, probs);
+        q *= 1.0 - EvaluateIndependent(arena, c, probs, memo);
         if (q == 0.0) break;
       }
-      return 1.0 - q;
+      p = 1.0 - q;
+      break;
     }
   }
-  return 0.0;
+  if (memo != nullptr) (*memo)[ref] = p;
+  return p;
 }
 
 /// \brief Options for `EvaluateExact`.

@@ -18,22 +18,13 @@ void QueryResult::RecomputeConfidences(const ConfidenceMap& confidences) {
 }
 
 std::vector<Value> QueryResult::ValuesOfRow(size_t i) const {
-  if (!defer_values || !rows[i].values.empty()) return rows[i].values;
+  if (columnar == nullptr) return rows[i].values;
   std::vector<Value> values;
   values.reserve(schema.num_columns());
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     values.push_back(columnar->BoxedValue(c, i));
   }
   return values;
-}
-
-void QueryResult::MaterializeValues() {
-  if (!defer_values) return;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].values.empty()) rows[i].values = ValuesOfRow(i);
-  }
-  defer_values = false;
-  if (!defer_lineage) columnar.reset();
 }
 
 void QueryResult::MaterializeLineage() {
@@ -51,11 +42,16 @@ void QueryResult::MaterializeLineage() {
   }
   arena = std::move(boxed);
   defer_lineage = false;
-  if (!defer_values) columnar.reset();
 }
 
-std::string QueryResult::ToTable(size_t max_rows) const {
-  // Header + rows, column-aligned.
+namespace {
+
+/// `count` rows of `result` as an aligned text table with a confidence
+/// column, the k-th being row `row_of(k)`; only the first `max_rows` box.
+template <typename RowOf>
+std::string FormatTable(const QueryResult& result, size_t count, const RowOf& row_of,
+                        size_t max_rows) {
+  const Schema& schema = result.schema;
   std::vector<std::vector<std::string>> cells;
   std::vector<std::string> header;
   header.reserve(schema.num_columns() + 1);
@@ -64,12 +60,13 @@ std::string QueryResult::ToTable(size_t max_rows) const {
   }
   header.push_back("confidence");
   cells.push_back(std::move(header));
-  size_t shown = std::min(rows.size(), max_rows);
-  for (size_t r = 0; r < shown; ++r) {
+  size_t shown = std::min(count, max_rows);
+  for (size_t k = 0; k < shown; ++k) {
+    const size_t r = row_of(k);
     std::vector<std::string> line;
     line.reserve(schema.num_columns() + 1);
-    for (const Value& v : ValuesOfRow(r)) line.push_back(v.ToString());
-    line.push_back(FormatDouble(rows[r].confidence, 6));
+    for (const Value& v : result.ValuesOfRow(r)) line.push_back(v.ToString());
+    line.push_back(FormatDouble(result.rows[r].confidence, 6));
     cells.push_back(std::move(line));
   }
   std::vector<size_t> widths(cells[0].size(), 0);
@@ -89,10 +86,20 @@ std::string QueryResult::ToTable(size_t max_rows) const {
       out += "\n";
     }
   }
-  if (rows.size() > shown) {
-    out += StrFormat("... (%zu more rows)\n", rows.size() - shown);
+  if (count > shown) {
+    out += StrFormat("... (%zu more rows)\n", count - shown);
   }
   return out;
+}
+
+}  // namespace
+
+std::string QueryResult::ToTable(size_t max_rows) const {
+  return FormatTable(*this, rows.size(), [](size_t k) { return k; }, max_rows);
+}
+
+std::string QueryResult::ToTable(const std::vector<size_t>& selected, size_t max_rows) const {
+  return FormatTable(*this, selected.size(), [&](size_t k) { return selected[k]; }, max_rows);
 }
 
 Result<ConfidenceMap> SnapshotConfidences(const Catalog& catalog,
@@ -123,8 +130,7 @@ bool ContainsConfidencePrune(const PlanNode& plan) {  // NOLINT(misc-no-recursio
 }  // namespace
 
 Result<QueryResult> RunQuery(const Catalog& catalog, const std::string& sql,
-                             TraceBuilder* trace, ExecutionMode mode,
-                             bool materialize_values, OperatorProfile* profile,
+                             TraceBuilder* trace, ExecutionMode mode, OperatorProfile* profile,
                              std::optional<double> pushdown_beta) {
   if (profile != nullptr) profile->mode = ExecutionModeToString(mode);
   std::unique_ptr<SelectStatement> stmt;
@@ -157,47 +163,39 @@ Result<QueryResult> RunQuery(const Catalog& catalog, const std::string& sql,
     }
     result.vec_stats = executor.stats();
     result.rows.resize(vec.num_rows);
-    if (vec.DefersLineage()) {
-      // The result stays factorized. Per-row confidences fold nodelessly
-      // over the chunks' confidence vectors or come with the groups
-      // (bit-identical to evaluating the interned formulas); values box and
-      // lineage interns on demand (ValuesOfRow / MaterializeLineage), so
-      // nothing per row is allocated for rows the policy filter releases.
-      {
-        ScopedSpan span(trace, "lineage");
-        for (size_t i = 0; i < vec.num_rows; ++i) {
-          result.rows[i].confidence = vec.DeferredConfidence(i);
-        }
+    result.defer_lineage = vec.DefersLineage();
+    if (result.defer_lineage) {
+      // Per-row confidences fold nodelessly over the chunks' confidence
+      // vectors or come with the groups (bit-identical to evaluating the
+      // interned formulas); lineage interns on demand (MaterializeLineage),
+      // so nothing per row is allocated for rows the policy filter releases.
+      ScopedSpan span(trace, "lineage");
+      for (size_t i = 0; i < vec.num_rows; ++i) {
+        result.rows[i].confidence = vec.DeferredConfidence(i);
       }
-      result.columnar = std::make_shared<const VecResult>(std::move(vec));
-      result.defer_values = true;
-      result.defer_lineage = true;
     } else {
       {
         ScopedSpan span(trace, "execute-lineage");
         result.arena->Reserve(vec.num_rows);
+        std::vector<LineageRef> scratch;
         for (size_t i = 0; i < vec.num_rows; ++i) {
-          result.rows[i].lineage = executor.RowLineage(vec, i);
+          result.rows[i].lineage = vec.BoxRowLineage(result.arena.get(), i, &scratch);
         }
       }
       {
-        // Confidences fold directly over the column chunks' confidence
-        // vectors (memoized per lineage node) — bit-identical to the row
-        // path's snapshot-then-evaluate, without building a ConfidenceMap.
+        // Confidences fold over the column chunks' confidence vectors,
+        // memoized per lineage node — bit-identical to the row path's
+        // snapshot-then-evaluate, without building a ConfidenceMap.
         ScopedSpan span(trace, "lineage");
+        auto leaf = [&executor](LineageVarId id) { return executor.VarConfidence(id); };
+        std::vector<double> memo;
         for (QueryResult::Row& row : result.rows) {
-          row.confidence = executor.ConfidenceOf(row.lineage);
+          row.confidence = EvaluateIndependent(*result.arena, row.lineage, leaf, &memo);
         }
       }
-      // Values box on demand (ValuesOfRow) from the factorized payload.
-      result.columnar = std::make_shared<const VecResult>(std::move(vec));
-      result.defer_values = true;
     }
-    if (materialize_values) {
-      ScopedSpan span(trace, "materialize");
-      result.MaterializeLineage();
-      result.MaterializeValues();
-    }
+    // Values box on demand (ValuesOfRow) from the factorized payload.
+    result.columnar = std::make_shared<const VecResult>(std::move(vec));
     return result;
   }
 

@@ -28,9 +28,18 @@ struct VecResult;
 /// filtering. The `arena` owns every row's lineage formula; keep the
 /// `QueryResult` alive as long as lineage refs are dereferenced (the strategy
 /// layer does).
+///
+/// A result takes one of two forms, told apart by `columnar`:
+///  - the vectorized interpreter's (every serving path): `columnar` holds the
+///    factorized result, `rows[i].values` stay empty and `ValuesOfRow` boxes
+///    them on demand. Scan factors borrow the scanned tables' column chunks,
+///    so drop such a result before dropping or reloading those tables;
+///  - the row oracle's: `columnar` is null and every row holds its values and
+///    its interned lineage.
 struct QueryResult {
   /// One result row.
   struct Row {
+    /// Filled by the row oracle only; read values through `ValuesOfRow`.
     std::vector<Value> values;
     /// Lineage over base-tuple ids, allocated in `arena`.
     LineageRef lineage = kNullLineage;
@@ -52,46 +61,28 @@ struct QueryResult {
   /// node, i.e. β pushdown actually applied (a pushdown request against an
   /// unsafe plan shape leaves this false). Feeds audit and telemetry.
   bool pushed_down = false;
-  /// Set when the vectorized engine deferred materialization (the engine's
-  /// serving configuration): the factorized payload boxes values
-  /// (`ValuesOfRow` / `MaterializeValues`) and — for pure
-  /// scan/filter/join/sort/limit pipelines and for a DISTINCT or GROUP BY
-  /// over one table — lineage formulas (`MaterializeLineage`) on demand.
-  /// Scan factors borrow the scanned tables' column chunks — materialize
-  /// before dropping or reloading the catalog. Null when everything is
-  /// materialized eagerly (the `RunQuery` default) or the row interpreter
-  /// ran.
+  /// The vectorized interpreter's factorized result; null when the row
+  /// oracle ran.
   std::shared_ptr<const VecResult> columnar;
-  /// True while `rows[i].values` is empty and boxes via `columnar`.
-  bool defer_values = false;
-  /// True while `rows[i].lineage` is `kNullLineage` and `arena` is empty
-  /// (confidences are always computed — nodelessly, from the factorization —
-  /// so policy filtering never needs the formulas; see
-  /// `VecResult::DeferredConfidence`).
+  /// True while `rows[i].lineage` is `kNullLineage` and `arena` is empty:
+  /// pure scan/filter/join/sort/limit pipelines and a DISTINCT or GROUP BY
+  /// over one table leave their formulas implied by `columnar` (confidences
+  /// are always computed — nodelessly, from the factorization — so policy
+  /// filtering never needs the formulas; see `VecResult::DeferredConfidence`).
   bool defer_lineage = false;
 
-  /// True when `rows[i].values` must be boxed via `columnar` first.
-  bool values_deferred() const { return defer_values; }
-
-  /// True when `rows[i].lineage` has not been interned yet.
-  bool lineage_deferred() const { return defer_lineage; }
-
-  /// Boxed values of row `i`, whether deferred or materialized.
+  /// Boxed values of row `i`, from `columnar` or from the oracle's row.
   std::vector<Value> ValuesOfRow(size_t i) const;
 
-  /// Boxes every deferred row's values in place (idempotent, no-op when
-  /// eager). Not synchronized: never call on a result shared across threads
-  /// (the service's cache hands each request its own copy).
-  void MaterializeValues();
-
   /// Interns every deferred row's lineage formula, with the exact structure
-  /// the eager paths build, into a new arena that this result then owns
-  /// (idempotent, no-op when eager). Copies of one result share `arena` by
-  /// `shared_ptr`, and a deferred result's shared arena is empty, so boxing
-  /// never writes into an arena that another copy reads: the service caches
-  /// results unboxed, and a shortfall solve, the shell's `.why` or a client
-  /// holding a served outcome each box their own copy. Not synchronized
-  /// itself: one copy must not be materialized by two threads at once.
+  /// the row oracle builds, into a new arena that this result then owns
+  /// (idempotent, no-op when not deferred). Copies of one result share
+  /// `arena` by `shared_ptr`, and a deferred result's shared arena is empty,
+  /// so boxing never writes into an arena that another copy reads: the
+  /// service caches results unboxed, and a shortfall solve, the shell's
+  /// `.why` or a client holding a served outcome each box their own copy.
+  /// Not synchronized itself: one copy must not be materialized by two
+  /// threads at once.
   void MaterializeLineage();
 
   /// Re-derives every row's confidence from `confidences` (base-tuple id →
@@ -99,9 +90,13 @@ struct QueryResult {
   /// Materializes deferred lineage first.
   void RecomputeConfidences(const ConfidenceMap& confidences);
 
-  /// Formats rows as an aligned text table with a confidence column; deferred
-  /// rows box transiently (display only shows `max_rows` rows).
+  /// Formats rows as an aligned text table with a confidence column; rows
+  /// box transiently (display only shows `max_rows` rows).
   std::string ToTable(size_t max_rows = 50) const;
+
+  /// The same table over the rows `selected` (indices into `rows`, in
+  /// order), e.g. an outcome's released rows.
+  std::string ToTable(const std::vector<size_t>& selected, size_t max_rows) const;
 };
 
 /// Builds a `ConfidenceMap` holding the current confidence of every base
@@ -113,26 +108,24 @@ struct QueryResult {
 /// Parses, plans, executes and confidence-annotates `sql` against `catalog`.
 /// When `trace` is non-null, one child span per pipeline stage ("parse",
 /// "plan", "execute", "lineage") is added under the currently open span.
-/// `mode` selects the interpreter. The vectorized one serves every query;
-/// `ExecutionMode::kRow` reaches the row interpreter, which is kept only as
-/// the differential oracle the vectorized one must match bit for bit (see
-/// tests/vectorized_test.cc). With `materialize_values` false the vectorized
-/// engine skips per-row value boxing and — when the result is purely
-/// factorized over scans, or is a DISTINCT or GROUP BY over one table —
-/// per-row lineage interning, returning a deferred result (see
-/// `QueryResult::columnar`); confidences are always computed,
-/// bit-identically. The row engine ignores the flag (its operators are
-/// inherently materialized). A non-null `profile` enables `EXPLAIN ANALYZE`
-/// collection: the executor records one `OperatorProfile` node per operator
-/// (rows, chunks, factors, arena nodes, wall time); null (the default) keeps
-/// the hot path allocation-free. A set `pushdown_beta` asks the planner to
-/// prune sub-β base tuples below joins when the plan shape allows it (see
+/// `mode` selects the interpreter. The vectorized one serves every query and
+/// returns its result factorized (`QueryResult::columnar`): values box on
+/// demand, and — unless the result is purely factorized over scans, or is a
+/// DISTINCT or GROUP BY over one table (`defer_lineage`) — lineage is
+/// interned and confidences folded here; confidences are always computed,
+/// bit-identically to the row oracle. `ExecutionMode::kRow` reaches the row
+/// interpreter, which is kept only as the differential oracle the vectorized
+/// one must match bit for bit (see tests/vectorized_test.cc); its results are
+/// materialized. A non-null `profile` enables `EXPLAIN ANALYZE` collection:
+/// the executor records one `OperatorProfile` node per operator (rows,
+/// chunks, factors, arena nodes, wall time); null (the default) keeps the
+/// hot path allocation-free. A set `pushdown_beta` asks the planner to prune
+/// sub-β base tuples below joins when the plan shape allows it (see
 /// planner.h) — result-identical to post-filtering by monotonicity, checked
 /// continuously by tests/planner_pushdown_test.cc.
 [[nodiscard]] Result<QueryResult> RunQuery(const Catalog& catalog, const std::string& sql,
                                            TraceBuilder* trace = nullptr,
                                            ExecutionMode mode = ExecutionMode::kVectorized,
-                                           bool materialize_values = true,
                                            OperatorProfile* profile = nullptr,
                                            std::optional<double> pushdown_beta = std::nullopt);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <limits>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -297,7 +295,7 @@ class Int64KeyIndex {
 
 /// The group factor of a grouping over the single scan factor `scan`:
 /// members become base rows, and each group's confidence folds exactly as
-/// `VectorExecutor::ConfidenceOf` folds the node the eager path interns. A
+/// `EvaluateIndependent` folds the node the eager path interns. A
 /// lone member gives its leaf's confidence (for DISTINCT, `1 - (1 - p)` is
 /// not always `p`); otherwise GROUP BY multiplies the member confidences and
 /// DISTINCT takes one minus the product of their complements, left to right
@@ -987,7 +985,9 @@ Result<VecResult> VectorExecutor::RunHashGrouping(const PlanNode& plan) {
     // order the row engine gives it.
     arena_->Reserve(n);
     std::vector<LineageRef> row_lineage(n);
-    for (uint32_t i = 0; i < n; ++i) row_lineage[i] = RowLineage(in, i);
+    for (uint32_t i = 0; i < n; ++i) {
+      row_lineage[i] = in.BoxRowLineage(arena_, i, &lineage_scratch_);
+    }
     factor.lineages.resize(num_groups);
     std::vector<LineageRef> group_lineage;
     for (uint32_t g = 0; g < num_groups; ++g) {
@@ -1061,21 +1061,18 @@ double VecResult::DeferredConfidence(size_t row) const {
   return p;
 }
 
-LineageRef GroupFactor::Box(LineageArena* arena, uint32_t g,
-                            std::vector<LineageRef>* scratch) const {
-  scratch->clear();
-  for (uint32_t m = member_start[g]; m < member_start[g + 1]; ++m) {
-    scratch->push_back(arena->Var(MakeTupleId(table_id, members[m])));
-  }
-  return disjunctive ? arena->Or(*scratch) : arena->And(*scratch);
-}
-
 LineageRef VecResult::BoxRowLineage(LineageArena* arena, size_t row,
                                     std::vector<LineageRef>* scratch) const {
   PCQE_DCHECK(!factors.empty());
+  scratch->clear();
   if (factors[0].group != nullptr) {
     PCQE_DCHECK(factors.size() == 1);
-    return factors[0].group->Box(arena, factors[0].sel[row], scratch);
+    const GroupFactor& group = *factors[0].group;
+    const uint32_t g = factors[0].sel[row];
+    for (uint32_t m = group.member_start[g]; m < group.member_start[g + 1]; ++m) {
+      scratch->push_back(arena->Var(MakeTupleId(group.table_id, group.members[m])));
+    }
+    return group.disjunctive ? arena->Or(*scratch) : arena->And(*scratch);
   }
   auto leaf = [&](const VecFactor& f) {
     const uint32_t r = f.sel[row];
@@ -1083,7 +1080,6 @@ LineageRef VecResult::BoxRowLineage(LineageArena* arena, size_t row,
     return arena->Var(MakeTupleId(f.table->table_id(), r));
   };
   if (factors.size() == 1) return leaf(factors[0]);
-  scratch->clear();
   for (const VecFactor& f : factors) scratch->push_back(leaf(f));
   return arena->And(*scratch);
 }
@@ -1097,78 +1093,10 @@ void VectorExecutor::GatherRow(const VecResult& r, size_t row,
   }
 }
 
-LineageRef VectorExecutor::FactorRef(const VecFactor& f, uint32_t row) {
-  PCQE_DCHECK(f.group == nullptr);
-  if (f.table == nullptr) return f.lineages[row];
-  std::vector<LineageRef>& cache = var_cache_[f.table->table_id()];
-  if (cache.size() <= row) {
-    cache.resize(f.table->column_data().num_rows(), kNullLineage);
-  }
-  LineageRef& slot = cache[row];
-  if (slot == kNullLineage) {
-    slot = arena_->Var(MakeTupleId(f.table->table_id(), row));
-  }
-  return slot;
-}
-
-LineageRef VectorExecutor::RowLineage(const VecResult& r, size_t row) {
-  PCQE_DCHECK(!r.factors.empty());
-  if (r.factors.size() == 1) {
-    return FactorRef(r.factors[0], r.factors[0].sel[row]);
-  }
-  lineage_scratch_.clear();
-  for (const VecFactor& f : r.factors) {
-    lineage_scratch_.push_back(FactorRef(f, f.sel[row]));
-  }
-  return arena_->And(lineage_scratch_);
-}
-
 double VectorExecutor::VarConfidence(LineageVarId id) const {
   auto it = tables_by_id_.find(TupleTableId(id));
   PCQE_CHECK(it != tables_by_id_.end()) << "lineage variable from unscanned table";
   return it->second->column_data().confidence(TupleRow(id));
-}
-
-double VectorExecutor::ConfidenceOf(LineageRef ref) {  // NOLINT(misc-no-recursion)
-  if (conf_cache_.size() < arena_->size()) {
-    conf_cache_.resize(arena_->size(), std::numeric_limits<double>::quiet_NaN());
-  }
-  double cached = conf_cache_[ref];
-  if (!std::isnan(cached)) return cached;
-  double p = 0.0;
-  switch (arena_->op(ref)) {
-    case LineageOp::kFalse:
-      p = 0.0;
-      break;
-    case LineageOp::kTrue:
-      p = 1.0;
-      break;
-    case LineageOp::kVar:
-      p = VarConfidence(arena_->var(ref));
-      break;
-    case LineageOp::kNot:
-      p = 1.0 - ConfidenceOf(arena_->children(ref)[0]);
-      break;
-    case LineageOp::kAnd: {
-      p = 1.0;
-      for (LineageRef c : arena_->children(ref)) {
-        p *= ConfidenceOf(c);
-        if (p == 0.0) break;
-      }
-      break;
-    }
-    case LineageOp::kOr: {
-      double q = 1.0;
-      for (LineageRef c : arena_->children(ref)) {
-        q *= 1.0 - ConfidenceOf(c);
-        if (q == 0.0) break;
-      }
-      p = 1.0 - q;
-      break;
-    }
-  }
-  conf_cache_[ref] = p;
-  return p;
 }
 
 Result<std::vector<ExecRow>> VectorExecutor::Materialize(const VecResult& r) {
@@ -1181,7 +1109,7 @@ Result<std::vector<ExecRow>> VectorExecutor::Materialize(const VecResult& r) {
     for (size_t c = 0; c < r.columns.size(); ++c) {
       row.values.push_back(r.BoxedValue(c, i));
     }
-    row.lineage = RowLineage(r, i);
+    row.lineage = r.BoxRowLineage(arena_, i, &lineage_scratch_);
     rows.push_back(std::move(row));
   }
   return rows;

@@ -11,11 +11,12 @@
 //  - output columns either **borrow** a base table's column chunks through a
 //    factor's selection vector (zero copies through scan → filter → join →
 //    sort → limit chains) or own an explicit value vector;
-//  - a row's lineage is implied: the AND of one lineage leaf per factor.
+//  - a row's lineage is implied: the AND of one lineage leaf per factor,
+//    which `VecResult::BoxRowLineage`, the one lineage builder, interns.
 //    Nothing is allocated in the arena until a row provably survives to the
-//    top of the plan (or reaches a grouping operator), so a join under a
-//    selective filter builds formulas once per *released group* instead of
-//    once per intermediate row.
+//    top of the plan (or reaches a grouping or set operator), so a join
+//    under a selective filter builds formulas once per *released group*
+//    instead of once per intermediate row.
 //
 // Bit-identity contract with the row engine: same values, same row order,
 // same lineage structure per row (hence bit-identical confidences via the
@@ -31,6 +32,8 @@
 // group's folded confidence); every other grouping interns it in the order
 // materializing the input would. Set operations still materialize their
 // inputs into the row engine's implementation (query/exec_common.h).
+// `RunQuery` returns the root's `VecResult` as is (`QueryResult::columnar`);
+// see query/query_engine.h for which results it interns at once.
 
 #ifndef PCQE_QUERY_VEC_EXECUTOR_H_
 #define PCQE_QUERY_VEC_EXECUTOR_H_
@@ -68,10 +71,6 @@ struct GroupFactor {
   /// Base-table rows, group after group.
   std::vector<uint32_t> members;
   std::vector<double> confidences;
-
-  /// Interns group `g`'s formula into `arena`: its leaves in member order,
-  /// then their OR / AND, the structure the eager grouping builds.
-  LineageRef Box(LineageArena* arena, uint32_t g, std::vector<LineageRef>* scratch) const;
 };
 
 /// \brief One factor of a factorized result: a lineage domain plus the
@@ -127,8 +126,8 @@ struct VecResult {
   /// to be known.
   bool DefersLineage() const;
 
-  /// Confidence of output row `row` without building any lineage node, the
-  /// factorized form of `VectorExecutor::ConfidenceOf(RowLineage(row))`.
+  /// Confidence of output row `row` without building any lineage node: what
+  /// `EvaluateIndependent` gives for the formula `BoxRowLineage` interns.
   /// Scan factors contribute one leaf each, first-seen-deduped and
   /// left-folded in factor order; this is bit-identical to evaluating the
   /// interned formula because the `And` builder flattens and dedupes the same
@@ -136,23 +135,25 @@ struct VecResult {
   /// Requires `DefersLineage()`.
   double DeferredConfidence(size_t row) const;
 
-  /// Interns the lineage formula of output row `row` into `arena`, with the
-  /// exact structure `VectorExecutor::RowLineage` (and hence the row engine)
-  /// builds. Used to box deferred lineage after the executor is gone; the
-  /// scanned tables must still be alive. `scratch` is caller-provided so a
-  /// bulk materialization loop does not allocate per row.
+  /// Interns the lineage formula of output row `row` into `arena`, the exact
+  /// structure the row engine builds: a group factor's member leaves in
+  /// member order, then their OR / AND; else the AND of one leaf per factor
+  /// in factor order (an interned Var for a scan factor, the stored ref for a
+  /// materialized one). The executor's groupings and set operations,
+  /// `RunQuery` and `MaterializeLineage` all build formulas with it; after
+  /// the executor is gone the scanned tables must still be alive. `scratch`
+  /// is caller-provided so a bulk loop does not allocate per row.
   LineageRef BoxRowLineage(LineageArena* arena, size_t row,
                            std::vector<LineageRef>* scratch) const;
 };
 
 /// \brief Interprets plan trees over column chunks.
 ///
-/// One executor instance serves one query; it owns per-query caches (interned
-/// scan variables, memoized per-node confidences) keyed against the arena
+/// One executor instance serves one query, interning formulas into the arena
 /// passed at construction.
 class VectorExecutor {
  public:
-  /// `arena` must outlive every ref returned by `Run` and `RowLineage`. A
+  /// `arena` must outlive every ref the executor interns into it. A
   /// non-null `profiler` collects one `OperatorProfile` node per executed
   /// operator (`EXPLAIN ANALYZE`); the default costs one branch per operator.
   explicit VectorExecutor(LineageArena* arena, OperatorProfiler* profiler = nullptr)
@@ -161,16 +162,10 @@ class VectorExecutor {
   /// Executes `plan` into a factorized result. Call once per executor.
   [[nodiscard]] Result<VecResult> Execute(const PlanNode& plan);
 
-  /// Builds (or reuses) the lineage formula of output row `row`: the AND of
-  /// one leaf per factor, constructed with the exact child order the row
-  /// engine uses, so both engines intern structurally identical nodes.
-  LineageRef RowLineage(const VecResult& r, size_t row);
-
-  /// Confidence of `ref` under tuple independence, memoized per node.
-  /// Identical fold order (hence bit-identical doubles) to
-  /// `EvaluateIndependent` with a snapshot of current base confidences; the
-  /// leaf probabilities are read straight from the column chunks.
-  double ConfidenceOf(LineageRef ref);
+  /// Current confidence of base tuple `id` of a table this executor
+  /// scanned, read straight from its column chunks: the leaf probability
+  /// for `EvaluateIndependent` over the formulas the executor interned.
+  double VarConfidence(LineageVarId id) const;
 
   const VecExecStats& stats() const { return stats_; }
 
@@ -203,11 +198,6 @@ class VectorExecutor {
   /// engine's shared implementation (query/exec_common.h).
   [[nodiscard]] Result<VecResult> RunSetOp(const PlanNode& plan);
 
-  /// Lineage leaf of factor `f`, domain row `row` (interned Var for scan
-  /// factors, stored ref for materialized factors). Never called on a group
-  /// factor: only the root grouping makes one, and nothing above it interns.
-  LineageRef FactorRef(const VecFactor& f, uint32_t row);
-
   /// Gathers output row `row` of `r` into `out` (resized to the column
   /// count) for tuple-at-a-time expression fallbacks.
   void GatherRow(const VecResult& r, size_t row, std::vector<Value>* out) const;
@@ -228,8 +218,6 @@ class VectorExecutor {
   bool TryFilterKernel(const VecResult& r, const Expr& conjunct,
                        std::vector<uint32_t>* candidates);
 
-  double VarConfidence(LineageVarId id) const;
-
   LineageArena* arena_;
   OperatorProfiler* profiler_;
   VecExecStats stats_;
@@ -238,12 +226,7 @@ class VectorExecutor {
   const PlanNode* root_grouping_ = nullptr;
   /// Scanned tables by table id, for Var → confidence resolution.
   std::unordered_map<uint32_t, const Table*> tables_by_id_;
-  /// Interned Var refs per scanned table (kNullLineage = not yet created).
-  std::unordered_map<uint32_t, std::vector<LineageRef>> var_cache_;
-  /// Memoized per-node confidence, NaN = not yet computed (confidences live
-  /// in [0, 1], so NaN is a safe sentinel).
-  std::vector<double> conf_cache_;
-  /// Reused scratch buffers (see ISSUE: no per-row allocation on hot paths).
+  /// Scratch buffers reused across rows, so no hot loop allocates per row.
   std::vector<LineageRef> lineage_scratch_;
   std::vector<Value> row_scratch_;
 };

@@ -21,7 +21,7 @@ constexpr size_t kOwnedAuditCapacity = 256;
 
 /// Deadline of a request with `timeout_ms` from `start`; 0 means none.
 Deadline RequestDeadline(Clock::time_point start, int64_t timeout_ms) {
-  return timeout_ms > 0 ? Deadline::At(start + std::chrono::milliseconds(timeout_ms))
+  return timeout_ms > 0 ? Deadline::After(start, std::chrono::milliseconds(timeout_ms))
                         : Deadline::Infinite();
 }
 

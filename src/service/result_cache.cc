@@ -8,18 +8,34 @@ std::string NormalizeSql(const std::string& sql) {
   std::string out;
   out.reserve(sql.size());
   bool pending_space = false;
-  for (char c : sql) {
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
-      pending_space = !out.empty();
-      continue;
+  // Inside a '...' literal. A '' escape closes and reopens it, and both
+  // quotes are kept, so toggling on every quote copies the literal exactly.
+  bool quoted = false;
+  for (size_t i = 0; i < sql.size(); ++i) {
+    const char c = sql[i];
+    if (!quoted) {
+      if (c == '-' && i + 1 < sql.size() && sql[i + 1] == '-') {
+        // A line comment separates tokens as whitespace does.
+        while (i + 1 < sql.size() && sql[i + 1] != '\n') ++i;
+        pending_space = !out.empty();
+        continue;
+      }
+      if (std::isspace(static_cast<unsigned char>(c)) != 0) {
+        pending_space = !out.empty();
+        continue;
+      }
+      if (pending_space) {
+        out.push_back(' ');
+        pending_space = false;
+      }
     }
-    if (pending_space) {
-      out.push_back(' ');
-      pending_space = false;
-    }
+    if (c == '\'') quoted = !quoted;
     out.push_back(c);
   }
-  while (!out.empty() && (out.back() == ';' || out.back() == ' ')) out.pop_back();
+  // Whitespace is never emitted last. The grammar allows one trailing ';'; a
+  // second is a parse error, so it keeps the text's own key.
+  if (!out.empty() && out.back() == ';') out.pop_back();
+  if (!out.empty() && out.back() == ' ') out.pop_back();
   return out;
 }
 

@@ -32,8 +32,10 @@
 
 namespace pcqe {
 
-/// Canonicalizes SQL text for cache keying: collapses whitespace runs to one
-/// space, trims the ends and drops a trailing ';'. Deliberately conservative
+/// Canonicalizes SQL text for cache keying in one pass, without lexing:
+/// collapses whitespace runs outside string literals to one space, drops
+/// `--` line comments, trims the ends and drops one trailing ';'. Literals
+/// ('' escapes included) are kept byte for byte. Deliberately conservative
 /// — it never changes case (string literals are case-sensitive), so two
 /// queries differing only in keyword case occupy two entries.
 std::string NormalizeSql(const std::string& sql);

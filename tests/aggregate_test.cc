@@ -53,7 +53,7 @@ class AggregateDb : public ::testing::Test {
 TEST_F(AggregateDb, GlobalCountStar) {
   QueryResult r = *RunQuery(catalog_, "SELECT COUNT(*) FROM orders");
   ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_EQ(r.rows[0].values[0], Value::Int(5));
+  EXPECT_EQ(r.ValuesOfRow(0)[0], Value::Int(5));
   EXPECT_EQ(r.schema.column(0).name, "COUNT(*)");
 }
 
@@ -63,12 +63,12 @@ TEST_F(AggregateDb, GroupByWithCountAndSum) {
       "SELECT customer, COUNT(*) AS n, SUM(qty) AS total FROM orders "
       "GROUP BY customer ORDER BY customer");
   ASSERT_EQ(r.rows.size(), 2u);
-  EXPECT_EQ(r.rows[0].values[0], Value::String("ann"));
-  EXPECT_EQ(r.rows[0].values[1], Value::Int(2));
-  EXPECT_EQ(r.rows[0].values[2], Value::Int(5));
-  EXPECT_EQ(r.rows[1].values[0], Value::String("bob"));
-  EXPECT_EQ(r.rows[1].values[1], Value::Int(3));
-  EXPECT_EQ(r.rows[1].values[2], Value::Int(10));
+  EXPECT_EQ(r.ValuesOfRow(0)[0], Value::String("ann"));
+  EXPECT_EQ(r.ValuesOfRow(0)[1], Value::Int(2));
+  EXPECT_EQ(r.ValuesOfRow(0)[2], Value::Int(5));
+  EXPECT_EQ(r.ValuesOfRow(1)[0], Value::String("bob"));
+  EXPECT_EQ(r.ValuesOfRow(1)[1], Value::Int(3));
+  EXPECT_EQ(r.ValuesOfRow(1)[2], Value::Int(10));
 }
 
 TEST_F(AggregateDb, GroupLineageIsConjunction) {
@@ -87,15 +87,15 @@ TEST_F(AggregateDb, AvgMinMax) {
       "SELECT AVG(price) AS a, MIN(qty) AS lo, MAX(qty) AS hi, MIN(item) AS first "
       "FROM orders");
   ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_NEAR(*r.rows[0].values[0].AsDouble(), (2.5 + 10 + 2.5 + 10 + 4) / 5.0, 1e-12);
-  EXPECT_EQ(r.rows[0].values[1], Value::Int(1));
-  EXPECT_EQ(r.rows[0].values[2], Value::Int(5));
-  EXPECT_EQ(r.rows[0].values[3], Value::String("belt"));
+  EXPECT_NEAR(*r.ValuesOfRow(0)[0].AsDouble(), (2.5 + 10 + 2.5 + 10 + 4) / 5.0, 1e-12);
+  EXPECT_EQ(r.ValuesOfRow(0)[1], Value::Int(1));
+  EXPECT_EQ(r.ValuesOfRow(0)[2], Value::Int(5));
+  EXPECT_EQ(r.ValuesOfRow(0)[3], Value::String("belt"));
 }
 
 TEST_F(AggregateDb, SumOfDoublesIsDouble) {
   QueryResult r = *RunQuery(catalog_, "SELECT SUM(price * qty) FROM orders");
-  EXPECT_NEAR(*r.rows[0].values[0].AsDouble(), 10.0 + 10.0 + 5.0 + 30.0 + 20.0, 1e-12);
+  EXPECT_NEAR(*r.ValuesOfRow(0)[0].AsDouble(), 10.0 + 10.0 + 5.0 + 30.0 + 20.0, 1e-12);
   EXPECT_EQ(r.schema.column(0).type, DataType::kDouble);
 }
 
@@ -104,10 +104,10 @@ TEST_F(AggregateDb, CountColumnSkipsNulls) {
       catalog_, "SELECT site, COUNT(value) AS n, COUNT(*) AS rows_ FROM readings "
                 "GROUP BY site ORDER BY site");
   ASSERT_EQ(r.rows.size(), 2u);
-  EXPECT_EQ(r.rows[0].values[1], Value::Int(1));  // a: one non-null
-  EXPECT_EQ(r.rows[0].values[2], Value::Int(2));
-  EXPECT_EQ(r.rows[1].values[1], Value::Int(0));  // b: all null
-  EXPECT_EQ(r.rows[1].values[2], Value::Int(1));
+  EXPECT_EQ(r.ValuesOfRow(0)[1], Value::Int(1));  // a: one non-null
+  EXPECT_EQ(r.ValuesOfRow(0)[2], Value::Int(2));
+  EXPECT_EQ(r.ValuesOfRow(1)[1], Value::Int(0));  // b: all null
+  EXPECT_EQ(r.ValuesOfRow(1)[2], Value::Int(1));
 }
 
 TEST_F(AggregateDb, AggregatesOverAllNullsAreNull) {
@@ -115,17 +115,17 @@ TEST_F(AggregateDb, AggregatesOverAllNullsAreNull) {
       catalog_,
       "SELECT SUM(value), AVG(value), MIN(value) FROM readings WHERE site = 'b'");
   ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_TRUE(r.rows[0].values[0].is_null());
-  EXPECT_TRUE(r.rows[0].values[1].is_null());
-  EXPECT_TRUE(r.rows[0].values[2].is_null());
+  EXPECT_TRUE(r.ValuesOfRow(0)[0].is_null());
+  EXPECT_TRUE(r.ValuesOfRow(0)[1].is_null());
+  EXPECT_TRUE(r.ValuesOfRow(0)[2].is_null());
 }
 
 TEST_F(AggregateDb, GlobalAggregateOverEmptyInput) {
   QueryResult r = *RunQuery(
       catalog_, "SELECT COUNT(*), SUM(qty) FROM orders WHERE customer = 'nobody'");
   ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_EQ(r.rows[0].values[0], Value::Int(0));
-  EXPECT_TRUE(r.rows[0].values[1].is_null());
+  EXPECT_EQ(r.ValuesOfRow(0)[0], Value::Int(0));
+  EXPECT_TRUE(r.ValuesOfRow(0)[1].is_null());
   // Vacuous aggregation is certain.
   EXPECT_DOUBLE_EQ(r.rows[0].confidence, 1.0);
 }
@@ -143,7 +143,7 @@ TEST_F(AggregateDb, HavingFiltersGroups) {
       "SELECT customer, SUM(qty) AS total FROM orders GROUP BY customer "
       "HAVING SUM(qty) > 5");
   ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_EQ(r.rows[0].values[0], Value::String("bob"));
+  EXPECT_EQ(r.ValuesOfRow(0)[0], Value::String("bob"));
 }
 
 TEST_F(AggregateDb, HavingWithoutGroupBy) {
@@ -161,15 +161,15 @@ TEST_F(AggregateDb, ExpressionsOverAggregates) {
       "SELECT customer, SUM(price * qty) / SUM(qty) AS unit FROM orders "
       "GROUP BY customer ORDER BY customer");
   ASSERT_EQ(r.rows.size(), 2u);
-  EXPECT_NEAR(*r.rows[0].values[1].AsDouble(), 20.0 / 5.0, 1e-12);   // ann
-  EXPECT_NEAR(*r.rows[1].values[1].AsDouble(), 55.0 / 10.0, 1e-12);  // bob
+  EXPECT_NEAR(*r.ValuesOfRow(0)[1].AsDouble(), 20.0 / 5.0, 1e-12);   // ann
+  EXPECT_NEAR(*r.ValuesOfRow(1)[1].AsDouble(), 55.0 / 10.0, 1e-12);  // bob
 }
 
 TEST_F(AggregateDb, GroupByExpressionKey) {
   QueryResult r = *RunQuery(
       catalog_, "SELECT qty * 0 + 1 AS bucket, COUNT(*) FROM orders GROUP BY qty * 0 + 1");
   ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_EQ(r.rows[0].values[1], Value::Int(5));
+  EXPECT_EQ(r.ValuesOfRow(0)[1], Value::Int(5));
 }
 
 TEST_F(AggregateDb, MultiKeyGroupBy) {
@@ -219,7 +219,7 @@ TEST_F(AggregateDb, OrderByAggregateAlias) {
       catalog_, "SELECT customer, SUM(qty) AS total FROM orders GROUP BY customer "
                 "ORDER BY total DESC");
   ASSERT_EQ(r.rows.size(), 2u);
-  EXPECT_EQ(r.rows[0].values[0], Value::String("bob"));
+  EXPECT_EQ(r.ValuesOfRow(0)[0], Value::String("bob"));
 }
 
 TEST_F(AggregateDb, DistinctAfterAggregation) {

@@ -370,6 +370,20 @@ TEST(DeadlineTest, ExpiryAndRemainingTrackTheClock) {
   EXPECT_LE(future.RemainingSeconds(), 60.0);
 }
 
+TEST(DeadlineTest, BudgetBeyondTheClockMeansNoDeadline) {
+  for (Deadline d : {Deadline::AfterMillis(9223372036854),
+                     Deadline::AfterMillis(std::numeric_limits<int64_t>::max()),
+                     Deadline::AfterSeconds(1e10),
+                     Deadline::AfterSeconds(std::numeric_limits<double>::infinity())}) {
+    EXPECT_TRUE(d.infinite());
+    EXPECT_FALSE(d.Expired());
+  }
+  // Thirty years still fit the clock.
+  Deadline far = Deadline::AfterSeconds(1e9);
+  EXPECT_FALSE(far.infinite());
+  EXPECT_GT(far.RemainingSeconds(), 0.9e9);
+}
+
 TEST(DeadlineTest, SoonerPicksTheEarlierAndTreatsInfiniteAsLatest) {
   Deadline soon = Deadline::AfterMillis(10);
   Deadline late = Deadline::AfterSeconds(60.0);

@@ -60,8 +60,8 @@ TEST_F(VentureCapitalDb, FilterKeepsMatchingRowsOnly) {
   QueryResult r =
       *RunQuery(catalog_, "SELECT company FROM proposal WHERE funding < 1000000");
   ASSERT_EQ(r.rows.size(), 2u);
-  EXPECT_EQ(r.rows[0].values[0], Value::String("BlueSky"));
-  EXPECT_EQ(r.rows[1].values[0], Value::String("BlueSky"));
+  EXPECT_EQ(r.ValuesOfRow(0)[0], Value::String("BlueSky"));
+  EXPECT_EQ(r.ValuesOfRow(1)[0], Value::String("BlueSky"));
 }
 
 TEST_F(VentureCapitalDb, DistinctMergesLineageWithOr) {
@@ -70,7 +70,7 @@ TEST_F(VentureCapitalDb, DistinctMergesLineageWithOr) {
   QueryResult r = *RunQuery(
       catalog_, "SELECT DISTINCT company FROM proposal WHERE funding < 1000000");
   ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_EQ(r.rows[0].values[0], Value::String("BlueSky"));
+  EXPECT_EQ(r.ValuesOfRow(0)[0], Value::String("BlueSky"));
   EXPECT_NEAR(r.rows[0].confidence, 0.58, 1e-12);
 }
 
@@ -82,8 +82,8 @@ TEST_F(VentureCapitalDb, RunningExampleJoinConfidence) {
       "FROM (SELECT DISTINCT company FROM proposal WHERE funding < 1000000) AS c "
       "JOIN companyinfo AS ci ON c.company = ci.company");
   ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_EQ(r.rows[0].values[0], Value::String("BlueSky"));
-  EXPECT_EQ(r.rows[0].values[1], Value::Double(1.2e5));
+  EXPECT_EQ(r.ValuesOfRow(0)[0], Value::String("BlueSky"));
+  EXPECT_EQ(r.ValuesOfRow(0)[1], Value::Double(1.2e5));
   EXPECT_NEAR(r.rows[0].confidence, 0.058, 1e-12);
   // Lineage is exactly (t02 | t03) & t13.
   std::vector<LineageVarId> vars = r.arena->Variables(r.rows[0].lineage);
@@ -109,11 +109,12 @@ TEST_F(VentureCapitalDb, ProjectionExpressions) {
                 "WHERE company = 'AlphaTech'");
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.schema.column(1).name, "millions");
-  EXPECT_EQ(r.rows[0].values[1], Value::Double(2.0));
+  EXPECT_EQ(r.ValuesOfRow(0)[1], Value::Double(2.0));
 }
 
 TEST_F(VentureCapitalDb, CrossJoinProducesProductWithAndLineage) {
   QueryResult r = *RunQuery(catalog_, "SELECT * FROM proposal, companyinfo");
+  r.MaterializeLineage();
   EXPECT_EQ(r.rows.size(), 12u);
   // Every row's confidence is the product of its two base confidences.
   for (const auto& row : r.rows) {
@@ -134,16 +135,16 @@ TEST_F(VentureCapitalDb, OrderByAndLimit) {
   QueryResult r = *RunQuery(
       catalog_, "SELECT company, funding FROM proposal ORDER BY funding DESC LIMIT 2");
   ASSERT_EQ(r.rows.size(), 2u);
-  EXPECT_EQ(r.rows[0].values[0], Value::String("AlphaTech"));
-  EXPECT_EQ(r.rows[1].values[0], Value::String("Cyclone"));
+  EXPECT_EQ(r.ValuesOfRow(0)[0], Value::String("AlphaTech"));
+  EXPECT_EQ(r.ValuesOfRow(1)[0], Value::String("Cyclone"));
 }
 
 TEST_F(VentureCapitalDb, OrderByAscendingIsDefault) {
   QueryResult r =
       *RunQuery(catalog_, "SELECT funding FROM proposal ORDER BY funding");
   ASSERT_EQ(r.rows.size(), 4u);
-  EXPECT_EQ(r.rows[0].values[0], Value::Double(5e5));
-  EXPECT_EQ(r.rows[3].values[0], Value::Double(2e6));
+  EXPECT_EQ(r.ValuesOfRow(0)[0], Value::Double(5e5));
+  EXPECT_EQ(r.ValuesOfRow(3)[0], Value::Double(2e6));
 }
 
 TEST_F(VentureCapitalDb, UnionMergesDuplicatesAcrossInputs) {
@@ -172,12 +173,12 @@ TEST_F(VentureCapitalDb, ExceptNegatesSubtrahendLineage) {
   // Left distinct: AlphaTech(0.5), BlueSky(0.58), Cyclone(0.7).
   // Right: AlphaTech (0.8). AlphaTech survives with p = 0.5 * (1-0.8) = 0.1.
   ASSERT_EQ(r.rows.size(), 3u);
-  for (const auto& row : r.rows) {
-    if (row.values[0] == Value::String("AlphaTech")) {
-      EXPECT_NEAR(row.confidence, 0.1, 1e-12);
+  for (size_t i = 0; i < r.rows.size(); ++i) {
+    if (r.ValuesOfRow(i)[0] == Value::String("AlphaTech")) {
+      EXPECT_NEAR(r.rows[i].confidence, 0.1, 1e-12);
     }
-    if (row.values[0] == Value::String("Cyclone")) {
-      EXPECT_NEAR(row.confidence, 0.7, 1e-12);
+    if (r.ValuesOfRow(i)[0] == Value::String("Cyclone")) {
+      EXPECT_NEAR(r.rows[i].confidence, 0.7, 1e-12);
     }
   }
 }
@@ -187,9 +188,9 @@ TEST_F(VentureCapitalDb, IntersectConjoinsLineage) {
       catalog_,
       "SELECT company FROM proposal INTERSECT SELECT company FROM companyinfo");
   ASSERT_EQ(r.rows.size(), 3u);
-  for (const auto& row : r.rows) {
-    if (row.values[0] == Value::String("BlueSky")) {
-      EXPECT_NEAR(row.confidence, 0.58 * 0.1, 1e-12);
+  for (size_t i = 0; i < r.rows.size(); ++i) {
+    if (r.ValuesOfRow(i)[0] == Value::String("BlueSky")) {
+      EXPECT_NEAR(r.rows[i].confidence, 0.58 * 0.1, 1e-12);
     }
   }
 }
@@ -252,8 +253,8 @@ TEST_F(VentureCapitalDb, PredicatePushdownPlacesFiltersBelowJoins) {
   EXPECT_NE(plan_text.find("Join (p.company = ci.company)"), std::string::npos);
   // Semantics unchanged: both BlueSky proposals join the BlueSky info row.
   ASSERT_EQ(r.rows.size(), 2u);
-  for (const auto& row : r.rows) {
-    EXPECT_EQ(row.values[0], Value::String("BlueSky"));
+  for (size_t i = 0; i < r.rows.size(); ++i) {
+    EXPECT_EQ(r.ValuesOfRow(i)[0], Value::String("BlueSky"));
   }
   EXPECT_NEAR(r.rows[0].confidence, 0.3 * 0.1, 1e-12);
   EXPECT_NEAR(r.rows[1].confidence, 0.4 * 0.1, 1e-12);

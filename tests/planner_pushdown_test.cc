@@ -167,7 +167,7 @@ Observed RunOne(PcqeEngine* engine, AuditLog* audit, const std::string& sql,
       mode == ExecutionMode::kRow
           ? engine->Complete(request,
                              *RunQuery(*engine->catalog(), sql, nullptr, ExecutionMode::kRow,
-                                       true, nullptr, engine->ResolvePushdownBeta(request)))
+                                       nullptr, engine->ResolvePushdownBeta(request)))
           : engine->Submit(request);
   EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
   Observed obs;

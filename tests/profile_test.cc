@@ -46,8 +46,7 @@ class ProfileTest : public ::testing::Test {
   }
 
   Result<QueryResult> RunProfiled(ExecutionMode mode, OperatorProfile* profile) {
-    return RunQuery(catalog_, kSql, nullptr, mode, /*materialize_values=*/false,
-                    profile);
+    return RunQuery(catalog_, kSql, nullptr, mode, profile);
   }
 
   static constexpr const char* kSql =

@@ -265,6 +265,7 @@ TEST_P(QueryLineageTest, ConfidenceMatchesExactEvaluationWhenReadOnce) {
         "SELECT k FROM l EXCEPT SELECT k FROM r WHERE w > 50",
         "SELECT k FROM l INTERSECT SELECT k FROM r"}) {
     QueryResult result = *RunQuery(catalog_, sql);
+    result.MaterializeLineage();
     ConfidenceMap probs = *SnapshotConfidences(catalog_, result);
     for (const QueryResult::Row& row : result.rows) {
       EXPECT_GE(row.confidence, 0.0) << sql;
@@ -283,16 +284,19 @@ TEST_P(QueryLineageTest, DistinctDominatesAndJoinIsDominated) {
   // never exceeds either operand.
   QueryResult raw = *RunQuery(catalog_, "SELECT k FROM l");
   QueryResult distinct = *RunQuery(catalog_, "SELECT DISTINCT k FROM l");
-  for (const QueryResult::Row& d : distinct.rows) {
+  for (size_t i = 0; i < distinct.rows.size(); ++i) {
     double best_dup = 0.0;
-    for (const QueryResult::Row& r : raw.rows) {
-      if (r.values[0].Equals(d.values[0])) best_dup = std::max(best_dup, r.confidence);
+    for (size_t j = 0; j < raw.rows.size(); ++j) {
+      if (raw.ValuesOfRow(j)[0].Equals(distinct.ValuesOfRow(i)[0])) {
+        best_dup = std::max(best_dup, raw.rows[j].confidence);
+      }
     }
-    EXPECT_GE(d.confidence, best_dup - 1e-12);
+    EXPECT_GE(distinct.rows[i].confidence, best_dup - 1e-12);
   }
 
   QueryResult join =
       *RunQuery(catalog_, "SELECT l.k FROM l JOIN r ON l.k = r.k");
+  join.MaterializeLineage();
   ConfidenceMap probs = *SnapshotConfidences(catalog_, join);
   for (const QueryResult::Row& row : join.rows) {
     for (LineageVarId id : join.arena->Variables(row.lineage)) {

@@ -217,7 +217,7 @@ TEST_F(ServiceStressTest, CachedGroupedEntryIsNeverWritten) {
     QueryRequest request{sql, "user" + std::to_string(u), u == 0 ? "analysis" : "investment",
                          0.0};
     QueryOutcome row_outcome = *engine_->Complete(
-        request, *RunQuery(catalog_, sql, nullptr, ExecutionMode::kRow, true, nullptr,
+        request, *RunQuery(catalog_, sql, nullptr, ExecutionMode::kRow, nullptr,
                            engine_->ResolvePushdownBeta(request)));
     expected[static_cast<size_t>(u)] = row_outcome.released;
   }
@@ -248,7 +248,7 @@ TEST_F(ServiceStressTest, CachedGroupedEntryIsNeverWritten) {
               service.Submit(session, {.sql = sql, .required_fraction = 0.0});
           ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
           EXPECT_TRUE(matches_row_engine(*outcome, u));
-          EXPECT_TRUE(outcome->intermediate.lineage_deferred());
+          EXPECT_TRUE(outcome->intermediate.defer_lineage);
           EXPECT_EQ(outcome->intermediate.arena->size(), 0u);
         }
       });
@@ -262,7 +262,7 @@ TEST_F(ServiceStressTest, CachedGroupedEntryIsNeverWritten) {
         ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
         EXPECT_TRUE(matches_row_engine(*outcome, 0));
         EXPECT_TRUE(outcome->proposal.needed);
-        EXPECT_FALSE(outcome->intermediate.lineage_deferred());
+        EXPECT_FALSE(outcome->intermediate.defer_lineage);
         EXPECT_GT(outcome->intermediate.arena->size(), 0u);
       }
     });
@@ -287,7 +287,7 @@ TEST_F(ServiceStressTest, CachedGroupedEntryIsNeverWritten) {
   SessionHandle late = *service.OpenSession("user8", "analysis");
   QueryOutcome after = *service.Submit(late, {.sql = sql, .required_fraction = 0.0});
   EXPECT_EQ(service.stats().cache_hits, hits_before + 1);
-  EXPECT_TRUE(after.intermediate.lineage_deferred());
+  EXPECT_TRUE(after.intermediate.defer_lineage);
   EXPECT_EQ(after.intermediate.arena->size(), 0u);
   EXPECT_TRUE(matches_row_engine(after, 0));
   EXPECT_EQ(service.stats().failed, 0u);

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -91,6 +92,17 @@ TEST(NormalizeSqlTest, CanonicalizesWhitespaceAndSemicolon) {
   // Case is preserved: string literals are case-sensitive.
   EXPECT_EQ(NormalizeSql("select 'A'"), "select 'A'");
   EXPECT_EQ(NormalizeSql(""), "");
+  // Literals are kept byte for byte, '' escapes included.
+  EXPECT_EQ(NormalizeSql("SELECT  a FROM t WHERE label = 'a  b' ;"),
+            "SELECT a FROM t WHERE label = 'a  b'");
+  EXPECT_EQ(NormalizeSql("SELECT 'it''s \t x',  '--y'"), "SELECT 'it''s \t x', '--y'");
+  // A line comment ends at its newline and separates tokens.
+  EXPECT_EQ(NormalizeSql("SELECT a FROM t -- note\nWHERE a > 1"),
+            "SELECT a FROM t WHERE a > 1");
+  EXPECT_EQ(NormalizeSql("SELECT a FROM t -- note WHERE a > 1"), "SELECT a FROM t");
+  EXPECT_EQ(NormalizeSql("SELECT a--'x\nFROM t; -- done"), "SELECT a FROM t");
+  // Only one trailing ';' is optional; a second is a parse error.
+  EXPECT_EQ(NormalizeSql("SELECT x FROM t ; ;"), "SELECT x FROM t ;");
 }
 
 TEST_F(QueryServiceTest, OpenSessionPinsRolesAndThreshold) {
@@ -485,16 +497,16 @@ TEST_F(QueryServiceTest, AuditListsDeferredGroupMembersInMemberOrder) {
   SessionHandle sam = *service->OpenSession("sam", "analysis");
   QueryOutcome served = *service->Submit(sam, {.sql = sql, .required_fraction = 0.0});
   ASSERT_EQ(served.released, std::vector<size_t>{1});
-  EXPECT_TRUE(served.intermediate.lineage_deferred());
+  EXPECT_TRUE(served.intermediate.defer_lineage);
   EXPECT_EQ(blocked_summary(served), members);
 
   QueryOutcome direct = *engine_->Submit({sql, "sam", "analysis", 0.0});
-  EXPECT_TRUE(direct.intermediate.lineage_deferred());
+  EXPECT_TRUE(direct.intermediate.defer_lineage);
   EXPECT_EQ(blocked_summary(direct), members);
 
   QueryOutcome shortfall = *engine_->Submit({sql, "sam", "analysis", 1.0});
   EXPECT_TRUE(shortfall.proposal.needed);
-  EXPECT_FALSE(shortfall.intermediate.lineage_deferred());
+  EXPECT_FALSE(shortfall.intermediate.defer_lineage);
   EXPECT_EQ(blocked_summary(shortfall), members);
 }
 
@@ -933,6 +945,51 @@ TEST_F(QueryServiceTest, InsertAfterCachedQueryIsNotServedStale) {
     EXPECT_EQ(service->stats().cache_misses, misses + 1);
     EXPECT_EQ(after.released.size(), t->num_tuples());
   }
+}
+
+// Queries that differ only inside a string literal, or in what a line
+// comment hides, are different queries: the cache must not serve one's rows
+// to the other.
+TEST_F(QueryServiceTest, LiteralsAndCommentsKeepCacheKeysApart) {
+  Table* t = *catalog_.CreateTable("t", Schema({{"label", DataType::kString, ""}}));
+  ASSERT_TRUE(t->Insert({Value::String("a  b")}, 0.9).ok());
+  ASSERT_TRUE(t->Insert({Value::String("a b")}, 0.9).ok());
+  Table* n = *catalog_.CreateTable("n", Schema({{"a", DataType::kInt64, ""}}));
+  for (int64_t a : {1, 2, 3}) ASSERT_TRUE(n->Insert({Value::Int(a)}, 0.9).ok());
+  auto service = MakeService({.num_workers = 1});
+  SessionHandle sam = *service->OpenSession("sam", "analysis");
+  auto released = [&](const std::string& sql) {
+    QueryOutcome outcome = *service->Submit(sam, {.sql = sql, .required_fraction = 0.0});
+    std::vector<std::string> out;
+    for (size_t i : outcome.released) {
+      out.push_back(outcome.intermediate.ValuesOfRow(i)[0].ToString());
+    }
+    return out;
+  };
+  using Strings = std::vector<std::string>;
+  EXPECT_EQ(released("SELECT label FROM t WHERE label = 'a  b'"), Strings{"a  b"});
+  EXPECT_EQ(released("SELECT label FROM t WHERE label = 'a b'"), Strings{"a b"});
+  EXPECT_EQ(released("SELECT a FROM n -- note\nWHERE a > 1"), (Strings{"2", "3"}));
+  EXPECT_EQ(released("SELECT a FROM n -- note WHERE a > 1"), (Strings{"1", "2", "3"}));
+  // Not a hit on `SELECT a FROM n`: a second ';' does not parse.
+  EXPECT_TRUE(service->Submit(sam, {.sql = "SELECT a FROM n;;"}).status().IsParseError());
+  EXPECT_EQ(service->stats().cache_misses, 5u);
+  EXPECT_EQ(service->stats().cache_hits, 0u);
+}
+
+// A timeout beyond what the steady clock can represent means no deadline,
+// not one that expired on arrival.
+TEST_F(QueryServiceTest, UnrepresentableTimeoutMeansNoDeadline) {
+  auto service = MakeService({.num_workers = 1});
+  SessionHandle mary = *service->OpenSession("mary", "investment");
+  Result<QueryOutcome> outcome =
+      service->Submit(mary, {.sql = kCandidateQuery,
+                             .required_fraction = 1.0,
+                             .timeout_ms = std::numeric_limits<int64_t>::max()});
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_TRUE(outcome->proposal.needed);
+  EXPECT_TRUE(outcome->proposal.feasible);
+  EXPECT_FALSE(outcome->proposal.partial);
 }
 
 TEST_F(QueryServiceTest, RecreatedTableIsNotServedStale) {

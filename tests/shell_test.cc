@@ -186,6 +186,50 @@ TEST_F(ShellTest, WhyExplainsRowInfluence) {
   EXPECT_NE(Feed(".why").find("usage:"), std::string::npos);
 }
 
+// Recovery rebuilds the catalog and frees the tables the last result
+// borrows, so `.recover`, and `.durable` on an existing directory, drop the
+// result: `.why` then reports none instead of reading freed chunks.
+TEST_F(ShellTest, RecoveryDropsTheLastResult) {
+  std::string path = ::testing::TempDir() + "/shell_recover.csv";
+  std::string dir = ::testing::TempDir() + "/shell_recover_dir";
+  std::string other_dir = ::testing::TempDir() + "/shell_recover_other";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(other_dir);
+  {
+    std::ofstream f(path);
+    f << "site,reading,conf\nnorth,42,0.9\nsouth,17,0.4\n";
+  }
+  Feed(".load sensors " + path + " conf");
+  Feed(".role add Analyst");
+  Feed(".user add alice");
+  Feed(".role grant alice Analyst");
+  Feed(".policy add Analyst reporting 0.5");
+  Feed(".user use alice");
+  Feed(".purpose reporting");
+  Feed(".fraction 0");
+  EXPECT_NE(Feed("SELECT site FROM sensors;").find("1 of 1 row(s) released"),
+            std::string::npos);
+  // A fresh directory only checkpoints the catalog: the result stays.
+  Feed(".durable " + dir);
+  EXPECT_NE(Feed(".why 1").find("confidence 0.9"), std::string::npos);
+  EXPECT_NE(Feed(".recover").find("recovered from"), std::string::npos);
+  EXPECT_NE(Feed(".why 1").find("no query result"), std::string::npos);
+
+  {
+    std::ostringstream unused;
+    Shell creator(&unused);
+    creator.HandleLine(".durable " + other_dir);
+  }
+  std::ostringstream out2;
+  Shell shell2(&out2);
+  shell2.HandleLine(".load sensors " + path + " conf");
+  shell2.HandleLine("SELECT site FROM sensors;");
+  shell2.HandleLine(".durable " + other_dir);
+  out2.str("");
+  shell2.HandleLine(".why 1");
+  EXPECT_NE(out2.str().find("no query result"), std::string::npos);
+}
+
 TEST_F(ShellTest, ExplainPrintsPlan) {
   std::string path = ::testing::TempDir() + "/shell_explain.csv";
   {

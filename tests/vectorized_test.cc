@@ -33,6 +33,7 @@
 #include "cost/cost_function.h"
 #include "engine/pcqe_engine.h"
 #include "query/query_engine.h"
+#include "query/vec_executor.h"
 #include "relational/catalog.h"
 #include "relational/column_chunk.h"
 
@@ -269,13 +270,15 @@ void ExpectBitIdentical(const QueryResult& row_result, const QueryResult& vec_re
     SCOPED_TRACE(::testing::Message() << "row " << r);
     const QueryResult::Row& a = row_result.rows[r];
     const QueryResult::Row& b = vec_result.rows[r];
-    ASSERT_EQ(a.values.size(), b.values.size());
-    for (size_t c = 0; c < a.values.size(); ++c) {
-      EXPECT_EQ(a.values[c], b.values[c]) << "column " << c;
-      EXPECT_EQ(a.values[c].type(), b.values[c].type()) << "column " << c;
+    const std::vector<Value> a_values = row_result.ValuesOfRow(r);
+    const std::vector<Value> b_values = vec_result.ValuesOfRow(r);
+    ASSERT_EQ(a_values.size(), b_values.size());
+    for (size_t c = 0; c < a_values.size(); ++c) {
+      EXPECT_EQ(a_values[c], b_values[c]) << "column " << c;
+      EXPECT_EQ(a_values[c].type(), b_values[c].type()) << "column " << c;
     }
     EXPECT_EQ(a.confidence, b.confidence);
-    if (!vec_result.lineage_deferred()) {
+    if (!vec_result.defer_lineage) {
       EXPECT_EQ(row_result.arena->ToString(a.lineage), vec_result.arena->ToString(b.lineage));
     }
   }
@@ -293,12 +296,11 @@ void RunBothAndCompare(const Catalog& catalog, const std::string& sql) {
   EXPECT_EQ(row_result->vec_stats.chunks_scanned, 0u);
   ExpectBitIdentical(*row_result, *vec_result);
 
-  // The engine's serving configuration (deferred boxing): confidences must
-  // come out bit-identical without any materialization, and boxing values +
-  // interning lineage on demand must reproduce the eager result exactly.
+  // Confidences must come out bit-identical before any deferred lineage is
+  // interned, and interning it on demand must reproduce the row oracle's
+  // formulas exactly.
   Result<QueryResult> deferred = RunQuery(catalog, sql, nullptr,
-                                          ExecutionMode::kVectorized,
-                                          /*materialize_values=*/false);
+                                          ExecutionMode::kVectorized);
   ASSERT_TRUE(deferred.ok()) << deferred.status().ToString();
   ASSERT_EQ(deferred->rows.size(), row_result->rows.size());
   for (size_t r = 0; r < deferred->rows.size(); ++r) {
@@ -306,7 +308,6 @@ void RunBothAndCompare(const Catalog& catalog, const std::string& sql) {
         << "deferred confidence, row " << r;
   }
   deferred->MaterializeLineage();
-  deferred->MaterializeValues();
   ExpectBitIdentical(*row_result, *deferred);
 }
 
@@ -382,19 +383,17 @@ TEST(VectorizedDifferential, NegativeLiteralFiltersStayOnKernels) {
   }
 }
 
-// Deferred (unboxed) results must box the same values on demand, row by row
-// (ValuesOfRow) or in bulk (MaterializeValues), and render via ToTable.
+// Vectorized results stay unboxed and must box the row oracle's values on
+// demand (ValuesOfRow) and render its table via ToTable.
 TEST(VectorizedDifferential, DeferredValuesBoxOnDemand) {
   Catalog catalog;
   BuildSweepCatalog(/*seed=*/5, /*num_orders=*/100, &catalog);
   const std::string sql =
       "SELECT o.id, c.region FROM orders AS o "
       "JOIN customers AS c ON o.customer = c.customer WHERE o.amount < 700.0";
-  QueryResult eager = *RunQuery(catalog, sql, nullptr, ExecutionMode::kVectorized,
-                                /*materialize_values=*/true);
-  QueryResult deferred = *RunQuery(catalog, sql, nullptr, ExecutionMode::kVectorized,
-                                   /*materialize_values=*/false);
-  ASSERT_TRUE(deferred.values_deferred());
+  QueryResult eager = *RunQuery(catalog, sql, nullptr, ExecutionMode::kRow);
+  QueryResult deferred = *RunQuery(catalog, sql, nullptr, ExecutionMode::kVectorized);
+  ASSERT_NE(deferred.columnar, nullptr);
   ASSERT_EQ(eager.rows.size(), deferred.rows.size());
   for (size_t i = 0; i < eager.rows.size(); ++i) {
     EXPECT_TRUE(deferred.rows[i].values.empty());
@@ -402,11 +401,6 @@ TEST(VectorizedDifferential, DeferredValuesBoxOnDemand) {
     EXPECT_EQ(deferred.rows[i].confidence, eager.rows[i].confidence);
   }
   EXPECT_EQ(deferred.ToTable(10), eager.ToTable(10));
-  deferred.MaterializeValues();
-  EXPECT_FALSE(deferred.values_deferred());
-  for (size_t i = 0; i < eager.rows.size(); ++i) {
-    EXPECT_EQ(deferred.rows[i].values, eager.rows[i].values);
-  }
 }
 
 // Fully deferred results (pure scan/filter/join/sort/limit pipelines, and a
@@ -433,10 +427,8 @@ TEST(VectorizedDifferential, DeferredLineageBoxesRowEngineFormulas) {
            "SELECT COUNT(*) FROM orders WHERE amount < 0.0"}) {
     SCOPED_TRACE(::testing::Message() << "query: " << sql);
     QueryResult row = *RunQuery(catalog, sql, nullptr, ExecutionMode::kRow);
-    QueryResult deferred = *RunQuery(catalog, sql, nullptr,
-                                     ExecutionMode::kVectorized,
-                                     /*materialize_values=*/false);
-    ASSERT_TRUE(deferred.lineage_deferred());
+    QueryResult deferred = *RunQuery(catalog, sql, nullptr, ExecutionMode::kVectorized);
+    ASSERT_TRUE(deferred.defer_lineage);
     EXPECT_EQ(deferred.arena->size(), 0u);  // nothing interned at all
     ASSERT_EQ(row.rows.size(), deferred.rows.size());
     for (size_t i = 0; i < row.rows.size(); ++i) {
@@ -447,9 +439,9 @@ TEST(VectorizedDifferential, DeferredLineageBoxesRowEngineFormulas) {
     // service caches one and completes copies) never write into a shared one.
     QueryResult copy = deferred;
     deferred.MaterializeLineage();
-    EXPECT_FALSE(deferred.lineage_deferred());
+    EXPECT_FALSE(deferred.defer_lineage);
     EXPECT_NE(deferred.arena, copy.arena);
-    EXPECT_TRUE(copy.lineage_deferred());
+    EXPECT_TRUE(copy.defer_lineage);
     EXPECT_EQ(copy.arena->size(), 0u);
     ConfidenceMap probs = *SnapshotConfidences(catalog, deferred);
     for (size_t i = 0; i < row.rows.size(); ++i) {
@@ -469,12 +461,32 @@ TEST(VectorizedDifferential, DeferredLineageBoxesRowEngineFormulas) {
         "SELECT DISTINCT c.region FROM orders AS o "
         "JOIN customers AS c ON o.customer = c.customer"}) {
     SCOPED_TRACE(::testing::Message() << "query: " << sql);
-    QueryResult grouped = *RunQuery(catalog, sql, nullptr, ExecutionMode::kVectorized,
-                                    /*materialize_values=*/false);
-    EXPECT_TRUE(grouped.values_deferred());
-    EXPECT_FALSE(grouped.lineage_deferred());
+    QueryResult grouped = *RunQuery(catalog, sql, nullptr, ExecutionMode::kVectorized);
+    EXPECT_NE(grouped.columnar, nullptr);
+    EXPECT_FALSE(grouped.defer_lineage);
     EXPECT_GT(grouped.arena->size(), 0u);
   }
+}
+
+// Nine scan factors, one more than a deferred result may have: the executor
+// interns every row's formula (the AND of nine leaves, repeated tuples
+// deduped) and folds its confidence while it runs.
+TEST(VectorizedDifferential, NineWaySelfJoinInternsEveryRow) {
+  Catalog catalog;
+  BuildSweepCatalog(/*seed=*/13, /*num_orders=*/60, &catalog);
+  const std::string sql =
+      "SELECT a.id, b.id, c.amount, h.tag, i.region FROM orders AS a "
+      "JOIN orders AS b ON a.customer = b.customer "
+      "JOIN orders AS c ON a.id = c.id JOIN orders AS d ON b.id = d.id "
+      "JOIN orders AS e ON c.id = e.id JOIN orders AS f ON d.id = f.id "
+      "JOIN orders AS g ON e.id = g.id JOIN orders AS h ON f.id = h.id "
+      "JOIN customers AS i ON h.customer = i.customer";
+  QueryResult vec = *RunQuery(catalog, sql, nullptr, ExecutionMode::kVectorized);
+  ASSERT_EQ(vec.columnar->factors.size(), VecResult::kMaxDeferredScanFactors + 1);
+  EXPECT_FALSE(vec.defer_lineage);
+  EXPECT_GT(vec.rows.size(), 60u);
+  EXPECT_GT(vec.arena->size(), 0u);
+  RunBothAndCompare(catalog, sql);
 }
 
 // The vectorized scan must report chunk/batch telemetry.
@@ -538,7 +550,7 @@ TEST(VectorizedDifferential, EnginePipelineParityAcrossBeta) {
       QueryRequest request{sql, "ana", "analysis", 1.0};
       if (mode == ExecutionMode::kRow) {
         outcomes.push_back(*engine->Complete(
-            request, *RunQuery(*catalog, sql, nullptr, ExecutionMode::kRow, true, nullptr,
+            request, *RunQuery(*catalog, sql, nullptr, ExecutionMode::kRow, nullptr,
                                engine->ResolvePushdownBeta(request))));
       } else {
         outcomes.push_back(*engine->Submit(request));
@@ -547,11 +559,9 @@ TEST(VectorizedDifferential, EnginePipelineParityAcrossBeta) {
     }
     QueryOutcome& row_out = outcomes[0];
     QueryOutcome& vec_out = outcomes[1];
-    // The engine defers value boxing on the vectorized path; box before the
-    // bit-identity comparison (also exercises the deferred materializer).
-    EXPECT_TRUE(vec_out.intermediate.values_deferred());
-    vec_out.intermediate.MaterializeValues();
-    row_out.intermediate.MaterializeValues();
+    // The engine defers value boxing on the vectorized path; the bit-identity
+    // comparison boxes through ValuesOfRow.
+    EXPECT_NE(vec_out.intermediate.columnar, nullptr);
     EXPECT_EQ(row_out.released, vec_out.released);
     EXPECT_EQ(row_out.released_fraction, vec_out.released_fraction);
     EXPECT_EQ(row_out.proposal.needed, vec_out.proposal.needed);

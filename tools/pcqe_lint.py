@@ -60,8 +60,8 @@ Rules (ids in brackets; suppress a line with `// pcqe-lint: allow(<rule>)`):
       (src/query/vec_executor.*). The vectorized engine's whole point is
       that hot loops touch column chunks and selection vectors; a Tuple in
       an operator re-introduces the per-row boxing the engine exists to
-      avoid. Boxing belongs at the boundary (QueryResult::MaterializeValues
-      / MaterializeLineage), not in operators. Deliberate boundary code in
+      avoid. Boxing belongs at the boundary (QueryResult::ValuesOfRow /
+      MaterializeLineage), not in operators. Deliberate boundary code in
       those files may suppress with `// pcqe-lint: allow(vectorized)`.
   [pushdown]              No hand-rolled confidence-vs-β comparisons in src/
       outside the sanctioned sites (PolicyDecision::Allows in src/policy/,
@@ -351,7 +351,7 @@ def lint_file(relpath, lines, status_fns):
                     relpath, i, "vectorized",
                     "per-row Tuple in a vectorized operator file; operate on "
                     "column chunks + selection vectors and leave boxing to "
-                    "QueryResult::MaterializeValues/MaterializeLineage"))
+                    "QueryResult::ValuesOfRow/MaterializeLineage"))
             elif re.search(r"(\.|->)\s*tuples\s*\(\s*\)", code):
                 out.append(Violation(
                     relpath, i, "vectorized",

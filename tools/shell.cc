@@ -593,7 +593,12 @@ void Shell::CmdDurable(const std::vector<std::string>& args) {
     // Exclusive: opening an existing directory recovers, rewriting the
     // catalog wholesale.
     WriterLock lock(engine_->catalog_mu());
+    const uint64_t generation = catalog_.generation();
     opened = storage->Open(options, &catalog_);
+    // The catalog moves on only when a recovery rewrote it (a failed one
+    // too), freeing the tables the last result borrows. A fresh directory
+    // writes nothing to it.
+    if (catalog_.generation() != generation) last_result_.reset();
   }
   if (!opened.ok()) {
     out() << opened.ToString() << "\n";
@@ -636,6 +641,9 @@ void Shell::CmdRecover() {
   Status s;
   {
     WriterLock lock(engine_->catalog_mu());
+    // Recovery rebuilds the catalog, dropping the tables the last result
+    // borrows.
+    last_result_.reset();
     s = storage_->Recover();
   }
   if (!s.ok()) {
